@@ -6,11 +6,11 @@ Run from the root of a source checkout:
     python3 perfbench/run.py --workload repro-cold --seed 1 --seconds 30 --trace 0
 
 It builds the release `vstress-repro` and the `perfbench-trace` tracer
-(`perfbench/tracer`), prepares the workload, then times fresh
-`vstress-repro` processes until `--seconds` have passed. Every timed
-process must exit 0 and print stdout identical to the reference: the
-first cold quick-profile run (or first paper run) made by this build in
-this checkout. The last stdout line is one JSON object:
+(`perfbench/tracer`), sets up, then times fresh `vstress-repro --quick`
+processes until `--seconds` have passed. Every timed process must exit 0
+and print stdout identical to the reference: the first cold quick-profile
+run made by this build in this checkout. The last stdout line is one JSON
+object:
 
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
@@ -37,38 +37,24 @@ import time
 from pathlib import Path
 
 FIDELITY_SEED = 0x5EE1
-THREADS = "2"
-# Every workload runs the whole encode in one worker per spec.
-PARALLELISM = ["--threads", THREADS, "--tile-workers", "1", "--frame-workers", "1"]
+# Every run is the quick profile in one process at 2 threads (the
+# tracer's THREADS), with one worker per encode.
+REPRO_ARGS = ["--quick", "--threads", "2", "--tile-workers", "1", "--frame-workers", "1"]
+# Tables in the stdout of a whole quick run.
+TABLES = 22
 STATE = Path(".perfbench")
-# Repetitions of the light set-up, whose median is `setup_s`.
-SETUP_REPS = 5
+# The set-up fills a stream-only store from this slice of the quick
+# profile, SETUP_REPS times; `setup_s` is the median.
+SETUP_IDS = ["decode"]
+SETUP_REPS = 3
+# Stream-only stores kept under STATE, one per build of vstress-repro.
+KEEP_STORES = 2
 # Every program run is killed after this long; a run must end in 180 s.
 PROCESS_TIMEOUT_S = 150
 
-
-class Workload:
-    def __init__(self, profile, ids, store, stride, tables):
-        self.profile = profile  # "quick" or "paper"
-        self.ids = ids  # experiment ids; empty means all
-        self.store = store  # re-simulate from a stream-only store
-        self.stride = stride  # the layer pass times every stride-th point
-        self.tables = tables  # tables the stdout must hold
-
-    def repro_args(self):
-        return [f"--{self.profile}", *PARALLELISM, *self.ids]
-
-    def reference_name(self):
-        # Both quick workloads must print the same stdout.
-        return f"{self.profile}-{'-'.join(self.ids) or 'all'}"
-
-
-# Why each workload exists: perfbench/README.md and BENCHMARK.json.
-WORKLOADS = {
-    "repro-cold": Workload("quick", [], False, 4, 22),
-    "resim-store": Workload("quick", [], True, 4, 22),
-    "paper-mix": Workload("paper", ["table2"], False, 3, 1),
-}
+# Whether each workload re-simulates from a stream-only store. Why each
+# workload exists: perfbench/README.md and BENCHMARK.json.
+WORKLOADS = {"repro-cold": False, "resim-store": True}
 
 END_TO_END = [
     ("wall_s", "s"),
@@ -84,35 +70,33 @@ EXPERIMENT_IDS = [
 ]
 # (name, unit, better, the end-to-end metric and workload it should move)
 PER_LAYER = [
-    ("video.synth_s", "s", "lower", "wall_s on paper-mix; nothing on resim-store"),
-    ("codecs.encodes", "count", "lower", "exact: 64 / 0 / 15 encodes"),
-    ("codecs.encode_s", "s", "lower",
-     "wall_s and cpu_s on repro-cold and paper-mix; nothing on resim-store"),
+    ("video.synth_s", "s", "lower", "wall_s on repro-cold; nothing on resim-store"),
+    ("codecs.encodes", "count", "lower", "exact: 64 on repro-cold, 0 on resim-store"),
+    ("codecs.encode_s", "s", "lower", "wall_s and cpu_s on repro-cold; nothing on resim-store"),
     ("codecs.encode_ns_per_instr", "ns", "lower", "as codecs.encode_s"),
     ("codecs.decode_s", "s", "lower", "wall_s on repro-cold (small)"),
-    ("trace.record_s", "s", "lower", "wall_s on repro-cold and paper-mix; peak_rss_mb on paper-mix"),
+    ("trace.record_s", "s", "lower", "wall_s and peak_rss_mb on repro-cold; setup_s"),
     ("trace.record_ns_per_event", "ns", "lower", "as trace.record_s"),
-    ("trace.events", "count", "lower", "exact; peak_rss_mb on all three"),
-    ("trace.packed_mb", "MB", "lower", "exact; peak_rss_mb on all three; store size on resim-store"),
+    ("trace.events", "count", "lower", "exact; peak_rss_mb on both"),
+    ("trace.packed_mb", "MB", "lower", "exact; peak_rss_mb on both; store size on resim-store"),
     ("trace.bytes_per_event", "B", "lower", "exact; as trace.packed_mb"),
     ("trace.decode_s", "s", "lower", "wall_s on resim-store"),
     ("trace.decode_ns_per_event", "ns", "lower", "as trace.decode_s"),
-    ("pipeline.model_s", "s", "lower",
-     "wall_s on resim-store, cpu_s on repro-cold; nothing on paper-mix"),
+    ("pipeline.model_s", "s", "lower", "wall_s on resim-store, cpu_s on repro-cold"),
     ("pipeline.ns_per_event", "ns", "lower", "as pipeline.model_s"),
     ("cache.hierarchy_s", "s", "lower", "as pipeline.model_s"),
     ("cache.accesses", "count", "lower", "exact; as pipeline.model_s"),
     ("cache.ns_per_access", "ns", "lower", "as pipeline.model_s"),
     ("bpred.cbp_s", "s", "lower", "wall_s on repro-cold and resim-store"),
     ("bpred.cbp_branches", "count", "lower", "exact; as bpred.cbp_s"),
-    ("exec.serde_s", "s", "lower", "wall_s and peak_rss_mb on resim-store; its setup_s"),
-    ("exec.store_stream_mb", "MB", "lower", "exact; store size and setup_s on resim-store"),
+    ("exec.serde_s", "s", "lower", "wall_s and peak_rss_mb on resim-store; setup_s"),
+    ("exec.store_stream_mb", "MB", "lower", "exact; store size on resim-store"),
     ("exec.store_mb", "MB", "lower", "exact; store size after the run, 0 without a store"),
     ("exec.run_hit_ratio", "ratio", "higher", "exact; explains wall_s (a caching change)"),
     ("exec.capture_hit_ratio", "ratio", "higher", "exact; explains wall_s (a caching change)"),
     ("exec.store_hits", "count", "higher", "exact; explains wall_s on resim-store"),
     ("exec.store_misses", "count", "lower", "exact; explains wall_s on resim-store"),
-    *[(f"experiments.{i}_s", "s", "lower", "splits wall_s on all three") for i in EXPERIMENT_IDS],
+    *[(f"experiments.{i}_s", "s", "lower", "splits wall_s on both") for i in EXPERIMENT_IDS],
     ("experiments.coverage", "ratio", "higher", "runner spans / experiment-pass wall; >= 0.95"),
     ("experiments.trace_overhead_s", "s", "lower", "experiment-pass wall minus untraced wall_s"),
     ("experiments.encode_points", "count", "lower", "exact; encode points of the workload"),
@@ -291,16 +275,6 @@ def build(root):
 # -------------------------------------------------------------------- set-up
 
 
-def verify_program(repro, work):
-    """The light set-up every workload does: hash the binary (the key of
-    this build's reference) and run its static `table1`."""
-    key = sha256(repro.read_bytes())[:16]
-    s = run_process([str(repro), "table1"], work)
-    if s.code != 0 or not s.stdout.startswith(b"## Table 1"):
-        raise SystemExit(f"perfbench: {repro} does not run (exit {s.code})")
-    return key
-
-
 def parse_store_stats(text):
     """`kind -> (entries, bytes)` from `vstress-repro store-stats` stdout."""
     kinds = {}
@@ -330,23 +304,59 @@ def dir_mb(path):
     return sum(f.stat().st_size for f in path.rglob("*") if f.is_file()) / 1e6
 
 
-def fill_stream_store(repro, w, work, store):
-    """One cold `--store` run into an empty store, pruned to its streams.
-    The run's encode count goes to `<store>/encodes` (outside the
-    version directory, so the store ignores it). Returns the fill run,
-    to be checked like a timed run."""
+def parse_encodes(stderr):
+    """The encode count of `vstress-repro`'s `work N encodes` line, or None."""
+    for line in stderr.splitlines():
+        cells = line.split()
+        if line.startswith("vstress-repro: work ") and cells[2].isdigit():
+            return int(cells[2])
+    return None
+
+
+def fill_stream_store(repro, ids, store, work):
+    """One cold `--store` run of `ids` (all when empty) into an empty
+    store, pruned to its streams and checked. The run's encode count goes
+    to `<store>/encodes` (outside the version directory, so the store
+    ignores it). The store appears at `store` only if all of this
+    succeeded; otherwise the run exits without a result. Returns the
+    fill run, to be checked like a timed run."""
     tmp = store.with_name(store.name + ".tmp")
     shutil.rmtree(tmp, ignore_errors=True)
-    s = run_process([str(repro), *w.repro_args(), "--store", str(tmp)], work)
-    encodes = next(
-        (l.split()[2] for l in s.stderr.splitlines() if l.startswith("vstress-repro: work ")),
-        "-1",
-    )
-    prune_to_streams(tmp)
-    (tmp / "encodes").write_text(encodes)
+    try:
+        s = run_process([str(repro), *REPRO_ARGS, "--store", str(tmp), *ids], work)
+        encodes = parse_encodes(s.stderr)
+        if s.code != 0 or not encodes:
+            raise SystemExit(f"perfbench: filling {store} failed (exit {s.code})")
+        prune_to_streams(tmp)
+        (tmp / "encodes").write_text(str(encodes))
+        check_stream_store(repro, tmp, work)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
     shutil.rmtree(store, ignore_errors=True)
     tmp.rename(store)
     return s
+
+
+def prune_old_stores(keep):
+    """Deletes the stream stores of older builds, keeping `keep` and the
+    most recent others up to KEEP_STORES in all."""
+    others = [p for p in STATE.glob("streams-*") if p.is_dir() and p != keep]
+    others.sort(key=lambda p: p.stat().st_mtime, reverse=True)
+    for old in others[KEEP_STORES - 1:]:
+        shutil.rmtree(old, ignore_errors=True)
+
+
+def time_setup(repro, work):
+    """One set-up: fill a fresh stream-only store from SETUP_IDS and
+    check it, as the resim-store fill does for the whole profile. This
+    times the capture and store write path. Returns seconds."""
+    store = work / "store"
+    t0 = time.perf_counter()
+    fill_stream_store(repro, SETUP_IDS, store, work)
+    elapsed = time.perf_counter() - t0
+    shutil.rmtree(store)
+    return elapsed
 
 
 def check_stream_store(repro, store, work):
@@ -395,17 +405,16 @@ def main():
     root = Path.cwd()
     if not (root / "crates/core/Cargo.toml").is_file():
         raise SystemExit("perfbench: run from the root of a vstress source checkout")
-    w = WORKLOADS[a.workload]
     repro, tracer = build(root)
 
     work = STATE / f"work-{os.getpid()}"
     try:
-        return measure(a, w, repro, tracer, work)
+        return measure(a, WORKLOADS[a.workload], repro, tracer, work)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
 
-def measure(a, w, repro, tracer, work):
+def measure(a, resim, repro, tracer, work):
     STATE.mkdir(exist_ok=True)
     problems = []
     attempted = failed = 0
@@ -417,33 +426,31 @@ def measure(a, w, repro, tracer, work):
         problems.extend(f"{what}: {p}" for p in found)
 
     def check(sample, what):
-        count(what, check_sample(sample, reference, w.tables, w.store and what != "fill"))
+        count(what, check_sample(sample, reference, TABLES, resim and what != "fill"))
 
-    # Set-up, untimed and repeated: verify the program and, for
-    # resim-store, the stream-only store. The store is filled once per
-    # build and kept under STATE, so only the first run pays the fill.
-    setups = []
+    # The key of this build's reference stdout, stream store and counts.
+    key = sha256(repro.read_bytes())[:16]
+    ref_path = STATE / f"ref-quick-{key}.txt"
+    setups = [time_setup(repro, work / "setup") for _ in range(SETUP_REPS)]
+
+    # resim-store's stream-only store of the whole profile is filled once
+    # per build and kept under STATE, outside the timing.
     fill = streams = None
-    for _ in range(SETUP_REPS):
-        t0 = time.perf_counter()
-        key = verify_program(repro, work / "setup")
-        if w.store:
-            streams = STATE / f"streams-{key}"
-            if not streams.exists():
-                fill = fill_stream_store(repro, w, work / "fill", streams)
-            check_stream_store(repro, streams, work / "setup")
-        setups.append(time.perf_counter() - t0)
-    ref_path = STATE / f"ref-{w.reference_name()}-{key}.txt"
-    if fill is not None and fill.code == 0:
-        write_once(ref_path, fill.stdout)
+    if resim:
+        streams = STATE / f"streams-{key}"
+        if not streams.exists():
+            fill = fill_stream_store(repro, [], streams, work / "fill")
+            prune_old_stores(streams)
+            write_once(ref_path, fill.stdout)
+        check_stream_store(repro, streams, work / "check")
     reference = sha256(ref_path.read_bytes()) if ref_path.exists() else None
     if fill is not None:
         check(fill, "fill")
 
     def timed_run():
         nonlocal reference
-        cmd = [str(repro), *w.repro_args()]
-        if w.store:
+        cmd = [str(repro), *REPRO_ARGS]
+        if resim:
             link_store(streams, work / "store")
             cmd += ["--store", str(work / "store")]
         s = run_process(cmd, work / "run")
@@ -467,8 +474,8 @@ def measure(a, w, repro, tracer, work):
     else:
         untraced = timed_run()
         samples.append(untraced)
-        store_mb = dir_mb(work / "store") if w.store else 0.0
-        raw = run_tracer(tracer, w, streams, work)
+        store_mb = dir_mb(work / "store") if resim else 0.0
+        raw = run_tracer(tracer, streams, work)
         # The raw spans, with each runner's RunCacheStats delta, for inspection.
         (STATE / f"trace-{a.workload}-{key}.json").write_text(json.dumps(raw, indent=1))
         metrics = derive_layers(raw, untraced.wall_s, store_mb)
@@ -481,7 +488,7 @@ def measure(a, w, repro, tracer, work):
                  for k in count_mismatches(counts, previous)]
         if sha256((work / "tables.txt").read_bytes()) != reference:
             found.append("the experiment pass's tables differ from vstress-repro's stdout")
-        if w.store and raw["stats.encodes"] != 0:
+        if resim and raw["stats.encodes"] != 0:
             found.append("the experiment pass encoded")
         count("tracer", found)
         units = {name: unit for name, unit, _, _ in PER_LAYER}
@@ -497,6 +504,8 @@ def measure(a, w, repro, tracer, work):
         "samples": [[round(s.wall_s, 3), round(s.cpu_s, 3), round(s.rss_mb, 1)] for s in samples],
         "setups_s": [round(s, 4) for s in setups],
     }
+    if fill is not None:
+        info["fill_s"] = round(fill.wall_s, 3)
     print("perfbench: " + json.dumps(info))
     print(json.dumps({
         "correct": not problems,
@@ -507,12 +516,9 @@ def measure(a, w, repro, tracer, work):
     return 0
 
 
-def run_tracer(tracer, w, streams, work):
-    cmd = [str(tracer), "--threads", THREADS, "--tables", str(work / "tables.txt"),
-           "--stride", str(w.stride), *w.ids]
-    if w.profile == "paper":
-        cmd.append("--paper")
-    if w.store:
+def run_tracer(tracer, streams, work):
+    cmd = [str(tracer), "--tables", str(work / "tables.txt")]
+    if streams is not None:
         link_store(streams, work / "store")
         cmd += ["--store", str(work / "store")]
     s = run_process(cmd, work / "trace")

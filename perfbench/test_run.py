@@ -1,6 +1,7 @@
 """Tests of the benchmark's own logic: `python3 -m unittest perfbench/test_run.py`."""
 
 import json
+import os
 import statistics
 import sys
 import tempfile
@@ -122,6 +123,10 @@ class StreamOnlyStore(unittest.TestCase):
             b = copy / "v3" / "stream" / f"{0:016x}.entry"
             self.assertTrue(a.samefile(b))
 
+    def test_encode_count_parsing(self):
+        self.assertEqual(run.parse_encodes("x\nvstress-repro: work 64 encodes, 64 stream captures\n"), 64)
+        self.assertIsNone(run.parse_encodes("vstress-repro: exit\n"))
+
     def test_store_stats_parsing(self):
         text = (
             "## Store statistics (schema v3)\n"
@@ -131,6 +136,78 @@ class StreamOnlyStore(unittest.TestCase):
             "(quarantined)  0        -\n"
         )
         self.assertEqual(run.parse_store_stats(text), {"stream": (64, 4700000000)})
+
+
+# A stand-in for vstress-repro: a `--store` run writes STREAMS stream
+# entries and one run entry and reports ENCODES encodes; `store-stats`
+# reports the stream entries it finds.
+FAKE_REPRO = """#!/bin/sh
+store=
+stats=
+while [ $# -gt 0 ]; do
+  case "$1" in
+    --store) store="$2"; shift ;;
+    store-stats) stats=1 ;;
+  esac
+  shift
+done
+if [ -n "$stats" ]; then
+  echo "stream $(ls "$store/v3/stream" | wc -l) 100"
+  exit 0
+fi
+mkdir -p "$store/v3/stream" "$store/v3/run"
+i=0
+while [ $i -lt {streams} ]; do touch "$store/v3/stream/$i.entry"; i=$((i + 1)); done
+touch "$store/v3/run/0.entry"
+echo "## Table"
+echo "vstress-repro: work {encodes} encodes, {encodes} stream captures" >&2
+exit {code}
+"""
+
+
+class StreamStoreFill(unittest.TestCase):
+    def fill(self, tmp, streams=3, encodes=3, code=0):
+        repro = Path(tmp) / "repro"
+        repro.write_text(FAKE_REPRO.format(streams=streams, encodes=encodes, code=code))
+        repro.chmod(0o755)
+        store = Path(tmp) / "streams-x"
+        run.fill_stream_store(repro, [], store, Path(tmp) / "work")
+        return store
+
+    def assert_no_store(self, tmp):
+        self.assertEqual(sorted(p.name for p in Path(tmp).glob("streams-*")), [])
+
+    def test_only_streams_survive_and_the_count_is_checked(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            store = self.fill(tmp)
+            self.assertEqual([p.name for p in (store / "v3").iterdir()], ["stream"])
+            self.assertEqual((store / "encodes").read_text(), "3")
+
+    def test_a_failed_fill_leaves_no_store(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            with self.assertRaises(SystemExit):
+                self.fill(tmp, code=1)
+            self.assert_no_store(tmp)
+
+    def test_a_fill_short_of_streams_leaves_no_store(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            with self.assertRaises(SystemExit):
+                self.fill(tmp, streams=2, encodes=3)
+            self.assert_no_store(tmp)
+
+    def test_old_stores_are_deleted(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            state, run.STATE = run.STATE, Path(tmp)
+            try:
+                for age, name in enumerate(["streams-new", "streams-b", "streams-c", "streams-d"]):
+                    (Path(tmp) / name).mkdir()
+                    t = 1_000_000 - age * 1000
+                    os.utime(Path(tmp) / name, (t, t))
+                run.prune_old_stores(Path(tmp) / "streams-new")
+            finally:
+                run.STATE = state
+            kept = sorted(p.name for p in Path(tmp).iterdir())
+            self.assertEqual(kept, ["streams-b", "streams-new"])
 
 
 class BenchmarkJson(unittest.TestCase):
@@ -144,8 +221,7 @@ class BenchmarkJson(unittest.TestCase):
             [(m["name"], m["unit"], m["better"]) for m in b["per_layer"]],
             [(n, u, better) for n, u, better, _ in run.PER_LAYER],
         )
-        for wl in b["workloads"]:
-            self.assertIn(wl["name"], run.WORKLOADS)
+        self.assertEqual(sorted(wl["name"] for wl in b["workloads"]), sorted(run.WORKLOADS))
 
 
 if __name__ == "__main__":

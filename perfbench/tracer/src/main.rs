@@ -6,20 +6,20 @@
 //! metrics from it):
 //!
 //! 1. **Experiment pass.** The public runners, in `vstress-repro` order,
-//!    on one shared `ExperimentConfig`. Each runner call is a span, with
+//!    on one shared quick-profile `ExperimentConfig` at `THREADS` threads
+//!    (`vstress-repro --quick --threads 2`). Each runner call is a span, with
 //!    the `RunCacheStats` delta around it. The tables go to `--tables`,
 //!    so the caller can compare them with `vstress-repro`'s stdout.
-//! 2. **Layer pass.** The encode points the wanted runners ask for,
-//!    rebuilt from the same config. Their number must match the
+//! 2. **Layer pass.** The encode points the runners ask for, rebuilt from the same config. Their number must match the
 //!    program's own count (the pass's encodes, or the store's `stream`
-//!    entries), or the run fails. Every `--stride`-th point then goes
+//!    entries), or the run fails. Every `STRIDE`-th point then goes
 //!    through each layer serially on this thread: clip synthesis, a
 //!    counting encode, a recording capture, bitstream decode, stream
 //!    decode, the core model, a bare cache hierarchy, the CBP
 //!    predictors and a serde round trip.
 //!
 //! ```text
-//! perfbench-trace [--paper] [--threads N] [--store DIR] --tables FILE [--stride N] [ids...]
+//! perfbench-trace [--store DIR] --tables FILE
 //! ```
 
 use std::collections::HashSet;
@@ -48,44 +48,32 @@ const IDS: [&str; 14] = [
 ];
 
 /// (preset, CRF) of the CBP trace points: Figs. 8, 9 and 10.
-const CBP_POINTS: [(&str, u8, u8); 3] = [("fig08", 8, 63), ("fig09", 4, 10), ("fig10", 4, 60)];
+const CBP_POINTS: [(u8, u8); 3] = [(8, 63), (4, 10), (4, 60)];
+
+/// Worker threads of the experiment pass, as the timed `vstress-repro` runs.
+const THREADS: usize = 2;
+
+/// The layer pass times every `STRIDE`-th encode point.
+const STRIDE: usize = 4;
 
 struct Args {
-    paper: bool,
-    threads: usize,
     store: Option<PathBuf>,
     tables: PathBuf,
-    stride: usize,
-    ids: Vec<String>,
 }
 
 fn parse_args() -> Result<Args, Error> {
-    let mut args = Args {
-        paper: false,
-        threads: 2,
-        store: None,
-        tables: PathBuf::new(),
-        stride: 1,
-        ids: Vec::new(),
-    };
+    let mut args = Args { store: None, tables: PathBuf::new() };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let mut value = || it.next().ok_or_else(|| format!("{a} needs a value"));
         match a.as_str() {
-            "--paper" => args.paper = true,
-            "--threads" => args.threads = value()?.parse()?,
             "--store" => args.store = Some(value()?.into()),
             "--tables" => args.tables = value()?.into(),
-            "--stride" => args.stride = value()?.parse()?,
-            id if IDS.contains(&id) => args.ids.push(id.to_owned()),
             other => return Err(format!("unknown argument {other}").into()),
         }
     }
-    if args.tables.as_os_str().is_empty() || args.threads == 0 || args.stride == 0 {
-        return Err("need --tables FILE, and positive --threads and --stride".into());
-    }
-    if args.ids.is_empty() {
-        args.ids = IDS.iter().map(|s| s.to_string()).collect();
+    if args.tables.as_os_str().is_empty() {
+        return Err("need --tables FILE".into());
     }
     Ok(args)
 }
@@ -130,7 +118,7 @@ fn run_experiment(cfg: &ExperimentConfig, id: &str, out: &mut impl Write) -> Res
         "fig16" => emit(out, &threads::fig16_topdown_threads(cfg)?),
         "decode" => emit(out, &decode_cost::table_decode_vs_encode(cfg)?.0),
         "profile" => emit(out, &profile::table_hot_kernels(cfg)?),
-        _ => unreachable!("ids are validated by parse_args"),
+        _ => unreachable!("the ids are IDS"),
     }
 }
 
@@ -150,59 +138,41 @@ fn svt(clip: &'static str, crf: u8, preset: u8) -> Point {
     (clip, CodecId::SvtAv1, EncoderParams::new(crf, preset))
 }
 
-/// Every encode point the wanted runners ask for, in first-request
-/// order and deduplicated as the run cache's capture layer does.
-fn encode_points(cfg: &ExperimentConfig, ids: &[String]) -> Vec<Point> {
-    let want = |id: &str| ids.iter().any(|i| i == id);
+/// Every encode point the runners ask for, in `IDS` order and
+/// deduplicated as the run cache's capture layer does.
+fn encode_points(cfg: &ExperimentConfig) -> Vec<Point> {
     let head = cfg.headline_clip;
     let mut asked: Vec<Point> = Vec::new();
-    if want("fig01") {
-        for &crf in &cfg.crf_points {
-            asked.extend(CodecId::ALL.map(|c| (head, c, equivalent_params(c, crf, 4))));
-        }
+    // fig01
+    for &crf in &cfg.crf_points {
+        asked.extend(CodecId::ALL.map(|c| (head, c, equivalent_params(c, crf, 4))));
     }
-    if want("fig02") {
-        for codec in CodecId::ALL {
-            asked.extend(
-                [12, 26, 40, 54].map(|crf| (head, codec, equivalent_params(codec, crf, 4))),
-            );
-        }
-        asked.extend(cfg.crf_points.iter().map(|&crf| svt(head, crf, 4)));
+    // fig02
+    for codec in CodecId::ALL {
+        asked.extend([12, 26, 40, 54].map(|crf| (head, codec, equivalent_params(codec, crf, 4))));
     }
-    if want("table2") {
-        asked.extend(cfg.clips.iter().map(|&clip| svt(clip, 63, 8)));
+    asked.extend(cfg.crf_points.iter().map(|&crf| svt(head, crf, 4)));
+    // table2
+    asked.extend(cfg.clips.iter().map(|&clip| svt(clip, 63, 8)));
+    // fig03 and fig04-07 ask for the same points.
+    for &clip in &cfg.clips {
+        asked.extend(cfg.crf_points.iter().map(|&crf| svt(clip, crf, 4)));
     }
-    for id in ["fig03", "fig04-07"] {
-        if want(id) {
-            for &clip in &cfg.clips {
-                asked.extend(cfg.crf_points.iter().map(|&crf| svt(clip, crf, 4)));
-            }
-        }
+    // fig08, fig09, fig10
+    for (preset, crf) in CBP_POINTS {
+        asked.extend(cfg.clips.iter().map(|&clip| svt(clip, crf, preset)));
     }
-    for (id, preset, crf) in CBP_POINTS {
-        if want(id) {
-            asked.extend(cfg.clips.iter().map(|&clip| svt(clip, crf, preset)));
-        }
-    }
-    if want("fig11") {
-        let sweep = preset_sweep::SWEEP_CRF;
-        asked.extend(cfg.preset_points.iter().map(|&preset| svt(head, sweep, preset)));
-    }
-    if want("fig12-15") {
-        for scenario in threads::SCENARIOS {
-            asked.extend(threads::SCALING_CODECS.map(|c| (head, c, scaling_params(c, scenario))));
-        }
-    }
-    if want("fig16") {
-        let scenario = threads::SCENARIOS[3];
+    // fig11
+    let sweep = preset_sweep::SWEEP_CRF;
+    asked.extend(cfg.preset_points.iter().map(|&preset| svt(head, sweep, preset)));
+    // fig12-15, fig16 (its scenario is one of fig12-15's)
+    for scenario in threads::SCENARIOS {
         asked.extend(threads::SCALING_CODECS.map(|c| (head, c, scaling_params(c, scenario))));
     }
-    if want("decode") {
-        asked.extend(CodecId::ALL.map(|c| (head, c, equivalent_params(c, 35, 4))));
-    }
-    if want("profile") {
-        asked.extend(cfg.clips.iter().map(|&clip| svt(clip, 35, 4)));
-    }
+    // decode
+    asked.extend(CodecId::ALL.map(|c| (head, c, equivalent_params(c, 35, 4))));
+    // profile
+    asked.extend(cfg.clips.iter().map(|&clip| svt(clip, 35, 4)));
     let mut seen = HashSet::new();
     asked.retain(|p| seen.insert(*p));
     asked
@@ -343,8 +313,7 @@ fn run() -> Result<(), Error> {
 
     // Experiment pass.
     let pass_start = Instant::now();
-    let mut cfg = if args.paper { ExperimentConfig::paper() } else { ExperimentConfig::quick() };
-    cfg = cfg.with_threads(args.threads);
+    let mut cfg = ExperimentConfig::quick().with_threads(THREADS);
     let mut stream_entries = None;
     if let Some(dir) = &args.store {
         let store = RunStore::open(dir)?;
@@ -361,9 +330,7 @@ fn run() -> Result<(), Error> {
     for id in IDS {
         let before = cfg.cache.stats();
         let t0 = Instant::now();
-        if args.ids.iter().any(|i| i == id) {
-            run_experiment(&cfg, id, &mut tables)?;
-        }
+        run_experiment(&cfg, id, &mut tables)?;
         let span = t0.elapsed().as_secs_f64();
         spans += span;
         put(&format!("span.{id}"), format!("{span:.9}"));
@@ -383,8 +350,8 @@ fn run() -> Result<(), Error> {
     drop(cfg);
 
     // Layer pass: the encode-point count must match the program's own.
-    let cfg = if args.paper { ExperimentConfig::paper() } else { ExperimentConfig::quick() };
-    let points = encode_points(&cfg, &args.ids);
+    let cfg = ExperimentConfig::quick();
+    let points = encode_points(&cfg);
     let (expected, source) = match stream_entries {
         Some(n) => (n, "stream entries in the store"),
         None => (stats.encodes, "encodes in the experiment pass"),
@@ -398,12 +365,11 @@ fn run() -> Result<(), Error> {
     }
     let cbp_points: HashSet<Point> = CBP_POINTS
         .iter()
-        .filter(|(id, _, _)| args.ids.iter().any(|i| i == id))
-        .flat_map(|&(_, preset, crf)| cfg.clips.iter().map(move |&c| svt(c, crf, preset)))
+        .flat_map(|&(preset, crf)| cfg.clips.iter().map(move |&c| svt(c, crf, preset)))
         .collect();
     let mut layers = Layers::default();
     let mut sampled = 0u64;
-    for &point in points.iter().step_by(args.stride) {
+    for &point in points.iter().step_by(STRIDE) {
         let window = cbp_points.contains(&point).then_some(cfg.cbp_window);
         layer_point(&cfg, point, window, &mut layers)?;
         sampled += 1;
