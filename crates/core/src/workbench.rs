@@ -4,7 +4,6 @@ use crate::runtime::cycles_to_seconds;
 use vstress_codecs::taskgraph::TaskTrace;
 use vstress_codecs::{CodecError, CodecId, Encoder, EncoderParams};
 use vstress_pipeline::{CoreModel, CoreReport};
-use vstress_trace::stream::{hex_decode, hex_encode};
 use vstress_trace::{
     ChunkTx, CountingProbe, EventStream, HotKernelProfile, OpMix, StreamRecorder, TeeProbe,
 };
@@ -253,9 +252,9 @@ pub struct CapturedEncode {
     pub bitstream: Vec<u8>,
 }
 
-// Hand-written so the bitstream travels as hex rather than as a seq of
-// one JSON number per byte (the derive would work, but triples the
-// store entry for the densest field).
+// Hand-written so the bitstream travels as one byte-string token rather
+// than as a seq of one integer token per byte (the derive would work, but
+// would triple the store entry for the densest field).
 impl serde::Serialize for CapturedEncode {
     fn serialize(&self, s: &mut serde::Serializer) {
         self.clip.serialize(s);
@@ -266,7 +265,7 @@ impl serde::Serialize for CapturedEncode {
         self.bitrate_kbps.serialize(s);
         self.total_bits.serialize(s);
         self.tasks.serialize(s);
-        hex_encode(&self.bitstream).serialize(s);
+        s.write_bytes(&self.bitstream);
     }
 }
 
@@ -281,7 +280,7 @@ impl<'de> serde::Deserialize<'de> for CapturedEncode {
             bitrate_kbps: f64::deserialize(d)?,
             total_bits: u64::deserialize(d)?,
             tasks: TaskTrace::deserialize(d)?,
-            bitstream: hex_decode(&String::deserialize(d)?)?,
+            bitstream: d.read_bytes()?.into_owned(),
         })
     }
 }

@@ -51,7 +51,9 @@ pub use window::BranchWindowProbe;
 /// Pin reports the real virtual address of each branch instruction; our
 /// equivalent must be (a) unique per static site and (b) identical across
 /// runs so that predictor tables warm the same entries. A compile-time
-/// FNV-1a hash of the source location satisfies both.
+/// FNV-1a hash of the source location satisfies both. The file part is
+/// hashed by [`site_path_hash`], so the PC does not depend on where the
+/// checkout lives.
 ///
 /// ```
 /// use vstress_trace::site_pc;
@@ -62,7 +64,7 @@ pub use window::BranchWindowProbe;
 #[macro_export]
 macro_rules! site_pc {
     () => {{
-        const PC: u64 = $crate::fnv1a(file!().as_bytes())
+        const PC: u64 = $crate::site_path_hash(file!())
             ^ ((line!() as u64) << 32 | column!() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         // Keep PCs in a "text-segment-like" range and 4-byte aligned, as
         // real branch addresses would be.
@@ -70,7 +72,36 @@ macro_rules! site_pc {
     }};
 }
 
-/// Compile-time FNV-1a hash used by [`site_pc!`].
+/// Compile-time hash of a source path from its last `crates/` component
+/// onward, used by [`site_pc!`].
+///
+/// `file!()` is workspace-relative (`crates/codecs/src/encoder.rs`) in
+/// this workspace's own build, but absolute when the crates are built as
+/// path dependencies of another workspace. Hashing only the suffix makes
+/// both spellings, and every checkout location, give the same PCs. A
+/// path without a `crates/` component is hashed whole.
+#[must_use]
+pub const fn site_path_hash(path: &str) -> u64 {
+    const MARK: &[u8] = b"crates/";
+    let bytes = path.as_bytes();
+    let mut start = 0;
+    let mut i = 0;
+    while i + MARK.len() <= bytes.len() {
+        if i == 0 || bytes[i - 1] == b'/' {
+            let mut j = 0;
+            while j < MARK.len() && bytes[i + j] == MARK[j] {
+                j += 1;
+            }
+            if j == MARK.len() {
+                start = i;
+            }
+        }
+        i += 1;
+    }
+    fnv1a(bytes.split_at(start).1)
+}
+
+/// Compile-time FNV-1a hash used by [`site_path_hash`].
 #[must_use]
 pub const fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -94,6 +125,23 @@ mod tests {
             site_pc!()
         }
         assert_eq!(inner(), inner(), "one site must be stable across executions");
+    }
+
+    #[test]
+    fn site_path_hash_ignores_the_checkout_location() {
+        use super::{fnv1a, site_path_hash};
+        const REL: u64 = site_path_hash("crates/codecs/src/encoder.rs");
+        const ABS: u64 = site_path_hash("/home/dev/src/vstress/crates/codecs/src/encoder.rs");
+        const NESTED: u64 = site_path_hash("/srv/crates/vstress/crates/codecs/src/encoder.rs");
+        assert_eq!(ABS, REL);
+        assert_eq!(NESTED, REL, "the last crates/ component wins");
+        // A workspace-relative path hashes exactly as before.
+        assert_eq!(REL, fnv1a(b"crates/codecs/src/encoder.rs"));
+        // Only a whole path component counts, and paths without one are
+        // hashed whole.
+        assert_eq!(site_path_hash("/x/mycrates/a.rs"), fnv1a(b"/x/mycrates/a.rs"));
+        assert_eq!(site_path_hash("tests/a.rs"), fnv1a(b"tests/a.rs"));
+        assert_ne!(REL, site_path_hash("crates/codecs/src/decoder.rs"));
     }
 
     #[test]

@@ -31,6 +31,11 @@
 //! | 5  | store      | `log2(bytes)+1` or 0          | `bytes` (if 0), zigzag addr delta |
 //! | 6  | branch     | taken flag                    | zigzag PC delta  |
 //!
+//! A persisted stream (its serde form) is the format version, the event
+//! count and one byte-string token per chunk. Loading it validates every
+//! chunk against this table once, so a stored stream that would make a
+//! replay panic fails to deserialize instead.
+//!
 //! # Replay contract
 //!
 //! Replaying a stream into any [`Probe`] dispatches the recorded events
@@ -286,8 +291,9 @@ impl EventStream {
 /// # Panics
 ///
 /// Panics on a malformed chunk (truncated varint, opcode past the
-/// event table). Persisted chunks are checksummed by the store, so this
-/// only fires on in-process memory corruption or a format bug.
+/// event table, kernel index past [`Kernel::ALL`]). Recorded chunks are
+/// well formed and a deserialized stream has every chunk validated, so
+/// this only fires on in-process memory corruption or a format bug.
 pub fn decode_chunk<P: Probe>(bytes: &[u8], probe: &mut P) {
     let mut rest = bytes;
     let mut prev_addr = 0u64;
@@ -680,41 +686,70 @@ impl Drop for ChunkRx {
 // Persistence (serde shim wire format).
 // ---------------------------------------------------------------------------
 
-/// Hex-encodes bytes for the serde shim's length-prefixed string token —
-/// the shim has no raw-bytes path, so binary payloads (stream chunks,
-/// captured bitstreams) travel as lowercase hex.
-pub fn hex_encode(bytes: &[u8]) -> String {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        out.push(HEX[(b >> 4) as usize] as char);
-        out.push(HEX[(b & 0xf) as usize] as char);
-    }
-    out
-}
+/// [`VARINTS_AFTER`] entry of a byte that starts no event.
+const BAD_OPCODE: u8 = u8::MAX;
 
-/// Inverse of [`hex_encode`]; rejects odd lengths and non-hex digits.
-///
-/// # Errors
-///
-/// Returns a [`serde::Error`] describing the malformed input.
-pub fn hex_decode(text: &str) -> Result<Vec<u8>, serde::Error> {
-    let raw = text.as_bytes();
-    if !raw.len().is_multiple_of(2) {
-        return Err(serde::Error::new("odd-length hex chunk"));
+/// Number of trailing varints each opcode byte announces, or
+/// [`BAD_OPCODE`] for a byte that starts no event: opcode 7, or a
+/// `set_kernel` index past [`Kernel::ALL`].
+const VARINTS_AFTER: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        let arg = (b >> 3) as u64;
+        let escaped = arg == COMPUTE_ESCAPE;
+        table[b] = match (b & 0x7) as u8 {
+            OP_SET_KERNEL if (arg as usize) < Kernel::ALL.len() => 0,
+            OP_ALU | OP_AVX | OP_SSE => escaped as u8,
+            OP_LOAD | OP_STORE => 1 + (arg == 0) as u8,
+            OP_BRANCH => 1,
+            _ => BAD_OPCODE,
+        };
+        b += 1;
     }
-    let nibble = |c: u8| -> Result<u8, serde::Error> {
-        match c {
-            b'0'..=b'9' => Ok(c - b'0'),
-            b'a'..=b'f' => Ok(c - b'a' + 10),
-            _ => Err(serde::Error::new("bad hex digit in chunk")),
+    table
+};
+
+/// The longest LEB128 encoding of a `u64`.
+const MAX_VARINT_BYTES: usize = 10;
+
+/// Checks that `bytes` is a well-formed packed chunk — every opcode
+/// names an event, every `set_kernel` index is in [`Kernel::ALL`], every
+/// varint ends within ten bytes and inside the chunk — and returns its
+/// event count. A chunk that passes cannot make [`decode_chunk`] panic.
+///
+/// One flat pass over the bytes: an opcode byte says how many varint
+/// terminators (bytes with the high bit clear) its event still owes.
+fn validate_chunk(bytes: &[u8]) -> Result<u64, &'static str> {
+    let mut events = 0u64;
+    let mut owed = 0u8;
+    let mut continued = 0usize;
+    for &b in bytes {
+        if owed == 0 {
+            owed = VARINTS_AFTER[usize::from(b)];
+            if owed == BAD_OPCODE {
+                return Err(if b & 0x7 == OP_SET_KERNEL {
+                    "set_kernel index past the kernel table"
+                } else {
+                    "opcode 7 starts no event"
+                });
+            }
+            events += 1;
+        } else if b & 0x80 != 0 {
+            continued += 1;
+            if continued == MAX_VARINT_BYTES {
+                return Err("varint longer than ten bytes");
+            }
+        } else {
+            continued = 0;
+            owed -= 1;
         }
-    };
-    let mut out = Vec::with_capacity(raw.len() / 2);
-    for pair in raw.chunks_exact(2) {
-        out.push(nibble(pair[0])? << 4 | nibble(pair[1])?);
     }
-    Ok(out)
+    if owed == 0 {
+        Ok(events)
+    } else {
+        Err("truncated varint")
+    }
 }
 
 impl serde::Serialize for EventStream {
@@ -723,13 +758,15 @@ impl serde::Serialize for EventStream {
         s.write_u64(self.events);
         s.write_seq_len(self.chunks.len());
         for chunk in &self.chunks {
-            // The shim's string token is length-prefixed UTF-8, so packed
-            // bytes travel as hex rather than raw.
-            s.write_str(&hex_encode(chunk));
+            s.write_bytes(chunk);
         }
     }
 }
 
+/// Loads a stream and validates every chunk once (see
+/// [`validate_chunk`]): a malformed chunk, or chunks whose events do not
+/// add up to the recorded count, is a deserialization error, so the
+/// store quarantines the entry instead of a replay panicking later.
 impl<'de> serde::Deserialize<'de> for EventStream {
     fn deserialize(d: &mut serde::Deserializer<'de>) -> Result<Self, serde::Error> {
         let version = d.read_u64()?;
@@ -741,8 +778,17 @@ impl<'de> serde::Deserialize<'de> for EventStream {
         let events = d.read_u64()?;
         let n = d.read_seq_len()?;
         let mut chunks = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            chunks.push(hex_decode(d.read_str()?)?.into());
+        let mut counted = 0u64;
+        for i in 0..n {
+            let chunk = d.read_bytes()?;
+            counted += validate_chunk(&chunk)
+                .map_err(|why| serde::Error::new(format!("event stream chunk {i}: {why}")))?;
+            chunks.push(Arc::from(&*chunk));
+        }
+        if counted != events {
+            return Err(serde::Error::new(format!(
+                "event stream chunks hold {counted} events, header says {events}"
+            )));
         }
         Ok(EventStream { chunks, events })
     }
@@ -954,6 +1000,73 @@ mod tests {
             1,
         );
         assert!(serde::from_str::<EventStream>(&bumped).is_err());
+    }
+
+    #[test]
+    fn binary_serde_roundtrip_preserves_the_stream() {
+        let (stream, _) = capture(25_000, 2048);
+        let bytes = serde::to_bytes(&stream);
+        assert!(bytes.len() < stream.packed_bytes() + 64 * stream.chunks().len() + 64);
+        let back: EventStream = serde::from_bytes(&bytes).unwrap();
+        assert_eq!(back, stream);
+    }
+
+    /// A one-chunk stream holding exactly `chunk`, claiming `events`.
+    fn stream_of(chunk: &[u8], events: u64) -> Vec<u8> {
+        serde::to_bytes(&EventStream { chunks: vec![Arc::from(chunk)], events })
+    }
+
+    #[test]
+    fn malformed_chunks_fail_to_load() {
+        let branch = OP_BRANCH | 1 << 3;
+        let cases: [(&[u8], &str); 5] = [
+            (&[branch, 0x80], "truncated varint"),
+            (&[OP_ALU | 5 << 3, 7], "opcode 7"),
+            (&[OP_SET_KERNEL | (Kernel::ALL.len() as u8) << 3], "set_kernel index"),
+            (&[OP_LOAD, 0x80, 0x80], "truncated varint"),
+            (&[branch, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0], "ten bytes"),
+        ];
+        for (chunk, why) in cases {
+            let err = serde::from_bytes::<EventStream>(&stream_of(chunk, 1)).unwrap_err();
+            assert!(err.to_string().contains(why), "{chunk:?}: {err}");
+        }
+        // Every kernel index in the table and a ten-byte varint are fine.
+        let last_kernel = OP_SET_KERNEL | (Kernel::ALL.len() as u8 - 1) << 3;
+        let longest = [branch, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+        for chunk in [&[last_kernel][..], &longest] {
+            let stream: EventStream = serde::from_bytes(&stream_of(chunk, 1)).unwrap();
+            stream.replay(&mut CountingProbe::new());
+        }
+    }
+
+    #[test]
+    fn event_count_must_match_the_chunks() {
+        let (stream, _) = capture(5_000, 1024);
+        for events in [stream.events() - 1, stream.events() + 1] {
+            let forged = EventStream { chunks: stream.chunks.clone(), events };
+            let err = serde::from_bytes::<EventStream>(&serde::to_bytes(&forged)).unwrap_err();
+            assert!(err.to_string().contains("header says"), "{err}");
+        }
+    }
+
+    #[test]
+    fn recorded_chunks_validate_to_their_event_count() {
+        let (stream, _) = capture(40_000, 512);
+        let counted: u64 = stream.chunks().iter().map(|c| validate_chunk(c).unwrap()).sum();
+        assert_eq!(counted, stream.events());
+    }
+
+    #[test]
+    fn every_truncation_of_a_chunk_fails_or_counts_fewer_events() {
+        // Cutting a chunk mid-event is a truncated varint; cutting at an
+        // event boundary is a valid chunk with fewer events, which the
+        // header's event count catches.
+        let (stream, _) = capture(300, 1 << 20);
+        let chunk = &stream.chunks()[0];
+        for cut in 0..chunk.len() {
+            let bytes = stream_of(&chunk[..cut], stream.events());
+            assert!(serde::from_bytes::<EventStream>(&bytes).is_err(), "cut at {cut} loaded");
+        }
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! Unlike the original marker-only shim, this is a real — if minimal —
 //! serialization framework: `derive(Serialize, Deserialize)` expands to
 //! working implementations (see `serde_derive`), driving a compact
-//! self-describing text format. The workbench's persistent run store
-//! (`vstress::exec::store`) round-trips `CharacterizationRun`s through
-//! it across processes.
+//! self-describing token format. The workbench's persistent run store
+//! (`vstress::exec::store`) round-trips `CharacterizationRun`s and
+//! captured event streams through it across processes.
 //!
 //! This is **not** the crates.io serde API. There is no `Serializer`
-//! trait hierarchy, no visitors, and only one wire format. What it
-//! guarantees instead is exactly what the run store needs:
+//! trait hierarchy and no visitors. What it guarantees instead is
+//! exactly what the run store needs:
 //!
 //! * **bit-exact round-trips** — `f64`/`f32` are written as the hex of
 //!   their IEEE-754 bits, so a deserialized value is the *identical*
@@ -18,7 +18,9 @@
 //!   prefix, so a corrupt or truncated entry fails parsing loudly
 //!   instead of being misread;
 //! * **schema tags** — struct and enum-variant names are embedded, so
-//!   decoding a value as the wrong type is an error, not garbage.
+//!   decoding a value as the wrong type is an error, not garbage;
+//! * **bounded allocation** — a length prefix is checked against the
+//!   input that is actually left before anything is allocated for it.
 //!
 //! # Wire format
 //!
@@ -31,15 +33,25 @@
 //! | `f<hex>` | `f64` IEEE-754 bits (`f32` widened losslessly) |
 //! | `b0` / `b1` | boolean |
 //! | `s<len>:<bytes>` | UTF-8 string, byte-length prefixed |
+//! | `x<len>:<bytes>` | raw byte string, `len` bytes (see below) |
 //! | `t<ident>` | tag: struct name or enum variant |
 //! | `q<dec>` | sequence header: element count follows |
 //!
 //! Structs serialize as their name tag followed by each field in
 //! declaration order; fieldless enums as their variant tag; sequences
 //! (`Vec<T>`, slices, arrays) as a `q` header followed by elements.
+//!
+//! The format has a **text** and a **binary** form, which differ only in
+//! the `x` token's payload. [`to_string`] / [`from_str`] use the text
+//! form: the `len` raw bytes travel as `2 * len` lowercase hex digits, so
+//! the output is always UTF-8. [`to_bytes`] / [`from_bytes`] use the
+//! binary form: the payload is the `len` bytes themselves, and
+//! [`Deserializer::read_bytes`] borrows them from the input without a
+//! copy. Every other token is spelled identically in both forms.
 
 pub use serde_derive::{Deserialize, Serialize};
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Mutex;
 
@@ -86,11 +98,12 @@ pub trait Deserialize<'de>: Sized {
     fn deserialize(d: &mut Deserializer<'de>) -> Result<Self, Error>;
 }
 
-/// Serializes `value` to a `String` in the shim wire format.
+/// Serializes `value` to a `String` in the text form of the wire format
+/// (byte strings as hex).
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> String {
     let mut s = Serializer::new();
     value.serialize(&mut s);
-    s.finish()
+    String::from_utf8(s.finish()).expect("the text form is UTF-8 by construction")
 }
 
 /// Deserializes a value from a string produced by [`to_string`].
@@ -104,62 +117,130 @@ pub fn from_str<T>(input: &str) -> Result<T, Error>
 where
     T: for<'de> Deserialize<'de>,
 {
-    let mut d = Deserializer::new(input);
-    let v = T::deserialize(&mut d)?;
-    d.end()?;
-    Ok(v)
+    Deserializer::new(input.as_bytes()).read_all()
 }
 
-/// Token writer for the wire format.
+/// Serializes `value` to bytes in the binary form of the wire format
+/// (byte strings raw).
+pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
+    let mut s = Serializer::binary();
+    value.serialize(&mut s);
+    s.finish()
+}
+
+/// Deserializes a value from bytes produced by [`to_bytes`].
+///
+/// The entire input must be consumed; trailing tokens are an error.
+///
+/// # Errors
+///
+/// Returns [`Error`] on any malformed, truncated, or trailing input.
+pub fn from_bytes<T>(input: &[u8]) -> Result<T, Error>
+where
+    T: for<'de> Deserialize<'de>,
+{
+    Deserializer::binary(input).read_all()
+}
+
+/// Appends `bytes` to `out` as lowercase hex.
+fn hex_encode(bytes: &[u8], out: &mut Vec<u8>) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(bytes.len() * 2);
+    for &b in bytes {
+        out.push(HEX[usize::from(b >> 4)]);
+        out.push(HEX[usize::from(b & 0xf)]);
+    }
+}
+
+/// Inverse of [`hex_encode`]; rejects odd lengths and anything but
+/// lowercase hex digits.
+fn hex_decode(text: &[u8]) -> Result<Vec<u8>, Error> {
+    if !text.len().is_multiple_of(2) {
+        return Err(Error::new("odd-length hex byte string"));
+    }
+    let nibble = |c: u8| -> Result<u8, Error> {
+        match c {
+            b'0'..=b'9' => Ok(c - b'0'),
+            b'a'..=b'f' => Ok(c - b'a' + 10),
+            _ => Err(Error::new("bad hex digit in byte string")),
+        }
+    };
+    let mut out = Vec::with_capacity(text.len() / 2);
+    for pair in text.chunks_exact(2) {
+        out.push(nibble(pair[0])? << 4 | nibble(pair[1])?);
+    }
+    Ok(out)
+}
+
+/// Token writer for the wire format; the default is the text form.
 #[derive(Debug, Default)]
 pub struct Serializer {
-    out: String,
+    out: Vec<u8>,
+    /// Whether `x` tokens carry raw bytes (binary form) or hex (text).
+    binary: bool,
 }
 
 impl Serializer {
-    /// An empty serializer.
+    /// An empty serializer for the text form (byte strings as hex).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The serialized text accumulated so far.
-    pub fn finish(self) -> String {
+    /// An empty serializer for the binary form (byte strings raw).
+    pub fn binary() -> Self {
+        Serializer { out: Vec::new(), binary: true }
+    }
+
+    /// The serialized tokens accumulated so far.
+    pub fn finish(self) -> Vec<u8> {
         self.out
+    }
+
+    /// Writes `kind`, the body `v` and `end`: a space closes a token,
+    /// a `:` opens a length-prefixed payload.
+    fn write_head(&mut self, kind: u8, v: impl fmt::Display, end: char) {
+        use std::io::Write as _;
+        self.out.push(kind);
+        write!(self.out, "{v}{end}").expect("writing to a Vec cannot fail");
     }
 
     /// Writes an unsigned integer token.
     pub fn write_u64(&mut self, v: u64) {
-        self.out.push('u');
-        self.out.push_str(&v.to_string());
-        self.out.push(' ');
+        self.write_head(b'u', v, ' ');
     }
 
     /// Writes a signed integer token.
     pub fn write_i64(&mut self, v: i64) {
-        self.out.push('i');
-        self.out.push_str(&v.to_string());
-        self.out.push(' ');
+        self.write_head(b'i', v, ' ');
     }
 
     /// Writes a float token (IEEE-754 bits in hex; bit-exact round-trip).
     pub fn write_f64(&mut self, v: f64) {
-        self.out.push('f');
-        self.out.push_str(&format!("{:x}", v.to_bits()));
-        self.out.push(' ');
+        self.write_head(b'f', format_args!("{:x}", v.to_bits()), ' ');
     }
 
     /// Writes a boolean token.
     pub fn write_bool(&mut self, v: bool) {
-        self.out.push_str(if v { "b1 " } else { "b0 " });
+        self.out.extend_from_slice(if v { b"b1 " } else { b"b0 " });
     }
 
     /// Writes a byte-length-prefixed string token.
     pub fn write_str(&mut self, v: &str) {
-        self.out.push('s');
-        self.out.push_str(&v.len().to_string());
-        self.out.push(':');
-        self.out.push_str(v);
-        self.out.push(' ');
+        self.write_head(b's', v.len(), ':');
+        self.out.extend_from_slice(v.as_bytes());
+        self.out.push(b' ');
+    }
+
+    /// Writes a byte-string token: the bytes themselves in the binary
+    /// form, their hex in the text form.
+    pub fn write_bytes(&mut self, v: &[u8]) {
+        self.write_head(b'x', v.len(), ':');
+        if self.binary {
+            self.out.extend_from_slice(v);
+        } else {
+            hex_encode(v, &mut self.out);
+        }
+        self.out.push(b' ');
     }
 
     /// Writes a tag token (a struct name or enum variant; must be a
@@ -169,30 +250,42 @@ impl Serializer {
             !tag.is_empty() && tag.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'),
             "tags must be identifiers, got {tag:?}"
         );
-        self.out.push('t');
-        self.out.push_str(tag);
-        self.out.push(' ');
+        self.out.push(b't');
+        self.out.extend_from_slice(tag.as_bytes());
+        self.out.push(b' ');
     }
 
     /// Writes a sequence header announcing `len` elements.
     pub fn write_seq_len(&mut self, len: usize) {
-        self.out.push('q');
-        self.out.push_str(&len.to_string());
-        self.out.push(' ');
+        self.write_head(b'q', len, ' ');
     }
 }
 
 /// Token reader over input produced by [`Serializer`].
 #[derive(Debug)]
 pub struct Deserializer<'de> {
-    input: &'de str,
+    input: &'de [u8],
     pos: usize,
+    /// Whether `x` tokens carry raw bytes (binary form) or hex (text).
+    binary: bool,
 }
 
 impl<'de> Deserializer<'de> {
-    /// A deserializer at the start of `input`.
-    pub fn new(input: &'de str) -> Self {
-        Deserializer { input, pos: 0 }
+    /// A deserializer at the start of text-form `input`.
+    pub fn new(input: &'de [u8]) -> Self {
+        Deserializer { input, pos: 0, binary: false }
+    }
+
+    /// A deserializer at the start of binary-form `input`.
+    pub fn binary(input: &'de [u8]) -> Self {
+        Deserializer { input, pos: 0, binary: true }
+    }
+
+    /// Parses one `T` and checks that nothing but whitespace follows.
+    fn read_all<T: Deserialize<'de>>(mut self) -> Result<T, Error> {
+        let v = T::deserialize(&mut self)?;
+        self.end()?;
+        Ok(v)
     }
 
     /// Asserts the whole input was consumed.
@@ -201,43 +294,47 @@ impl<'de> Deserializer<'de> {
     ///
     /// Returns [`Error`] if non-whitespace input remains.
     pub fn end(&self) -> Result<(), Error> {
-        if self.input[self.pos..].trim().is_empty() {
+        if self.remaining().iter().all(u8::is_ascii_whitespace) {
             Ok(())
         } else {
             Err(Error::new(format!("trailing input at byte {}", self.pos)))
         }
     }
 
-    /// Reads the next token's kind byte and body. For string tokens the
-    /// body is only the length prefix; the payload is read separately.
-    fn next_token(&mut self) -> Result<(u8, &'de str), Error> {
-        let rest = &self.input[self.pos..];
-        let start = rest.len() - rest.trim_start().len();
-        let rest = &rest[start..];
-        self.pos += start;
-        let Some(kind) = rest.bytes().next() else {
+    /// The input not consumed yet. Lets a caller read a token header and
+    /// then take the rest of the input as an opaque payload.
+    pub fn remaining(&self) -> &'de [u8] {
+        &self.input[self.pos..]
+    }
+
+    /// Reads the next token's kind byte and body. For string and byte
+    /// tokens the body is only the length prefix; the payload is read
+    /// separately.
+    fn next_token(&mut self) -> Result<(u8, &'de [u8]), Error> {
+        let skipped = self.remaining().iter().take_while(|c| c.is_ascii_whitespace()).count();
+        self.pos += skipped;
+        let Some((&kind, rest)) = self.remaining().split_first() else {
             return Err(Error::new("unexpected end of input"));
         };
         self.pos += 1;
-        let body_start = self.pos;
-        let rest = &rest[1..];
-        // String tokens contain raw payload bytes (possibly spaces), so
-        // their token text ends at the ':' length delimiter instead.
-        let end = match kind {
-            b's' => rest.find(':').map(|i| i + 1),
-            _ => Some(rest.find(' ').unwrap_or(rest.len())),
+        // String and byte tokens are followed by raw payload bytes
+        // (possibly spaces), so their token text ends at the ':' length
+        // delimiter instead.
+        let (len, delimiter) = match kind {
+            b's' | b'x' => match rest.iter().position(|&c| c == b':') {
+                Some(i) => (i, 1),
+                None => return Err(Error::new("length-prefixed token missing ':' delimiter")),
+            },
+            _ => match rest.iter().position(|&c| c == b' ') {
+                Some(i) => (i, 1),
+                None => (rest.len(), 0),
+            },
         };
-        let Some(end) = end else {
-            return Err(Error::new("string token missing ':' delimiter"));
-        };
-        self.pos += end;
-        if kind != b's' {
-            self.pos = (self.pos + 1).min(self.input.len()); // consume the space
-        }
-        Ok((kind, &self.input[body_start..body_start + end]))
+        self.pos += len + delimiter;
+        Ok((kind, &rest[..len]))
     }
 
-    fn expect_kind(&mut self, want: u8, what: &str) -> Result<&'de str, Error> {
+    fn expect_kind(&mut self, want: u8, what: &str) -> Result<&'de [u8], Error> {
         let (kind, body) = self.next_token()?;
         if kind != want {
             return Err(Error::new(format!(
@@ -248,14 +345,39 @@ impl<'de> Deserializer<'de> {
         Ok(body)
     }
 
+    /// Reads a token of kind `want` and parses its body as a `T`.
+    fn parse_kind<T: std::str::FromStr>(&mut self, want: u8, what: &str) -> Result<T, Error> {
+        let body = self.expect_kind(want, what)?;
+        std::str::from_utf8(body)
+            .ok()
+            .and_then(|text| text.parse().ok())
+            .ok_or_else(|| Error::new(format!("bad {what} {:?}", String::from_utf8_lossy(body))))
+    }
+
+    /// Takes the `len`-byte payload of a length-prefixed token and the
+    /// separator after it. `len` is untrusted: it is checked against the
+    /// input left before anything else happens.
+    fn take_payload(&mut self, len: usize) -> Result<&'de [u8], Error> {
+        let payload = self
+            .pos
+            .checked_add(len)
+            .and_then(|end| self.input.get(self.pos..end))
+            .ok_or_else(|| Error::new(format!("payload of {len} bytes runs past the input")))?;
+        self.pos += len;
+        // Consume the trailing space separator, if present.
+        if self.input.get(self.pos) == Some(&b' ') {
+            self.pos += 1;
+        }
+        Ok(payload)
+    }
+
     /// Reads an unsigned integer token.
     ///
     /// # Errors
     ///
     /// Returns [`Error`] if the next token is not a valid `u` token.
     pub fn read_u64(&mut self) -> Result<u64, Error> {
-        let body = self.expect_kind(b'u', "unsigned integer")?;
-        body.parse().map_err(|_| Error::new(format!("bad unsigned integer {body:?}")))
+        self.parse_kind(b'u', "unsigned integer")
     }
 
     /// Reads a signed integer token.
@@ -264,8 +386,7 @@ impl<'de> Deserializer<'de> {
     ///
     /// Returns [`Error`] if the next token is not a valid `i` token.
     pub fn read_i64(&mut self) -> Result<i64, Error> {
-        let body = self.expect_kind(b'i', "signed integer")?;
-        body.parse().map_err(|_| Error::new(format!("bad signed integer {body:?}")))
+        self.parse_kind(b'i', "signed integer")
     }
 
     /// Reads a float token (bit-exact).
@@ -275,9 +396,13 @@ impl<'de> Deserializer<'de> {
     /// Returns [`Error`] if the next token is not a valid `f` token.
     pub fn read_f64(&mut self) -> Result<f64, Error> {
         let body = self.expect_kind(b'f', "float")?;
-        u64::from_str_radix(body, 16)
+        std::str::from_utf8(body)
+            .ok()
+            .and_then(|hex| u64::from_str_radix(hex, 16).ok())
             .map(f64::from_bits)
-            .map_err(|_| Error::new(format!("bad float bits {body:?}")))
+            .ok_or_else(|| {
+                Error::new(format!("bad float bits {:?}", String::from_utf8_lossy(body)))
+            })
     }
 
     /// Reads a boolean token.
@@ -287,9 +412,9 @@ impl<'de> Deserializer<'de> {
     /// Returns [`Error`] if the next token is not `b0` or `b1`.
     pub fn read_bool(&mut self) -> Result<bool, Error> {
         match self.expect_kind(b'b', "boolean")? {
-            "0" => Ok(false),
-            "1" => Ok(true),
-            other => Err(Error::new(format!("bad boolean {other:?}"))),
+            b"0" => Ok(false),
+            b"1" => Ok(true),
+            other => Err(Error::new(format!("bad boolean {:?}", String::from_utf8_lossy(other)))),
         }
     }
 
@@ -297,22 +422,31 @@ impl<'de> Deserializer<'de> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error`] on a malformed length prefix or short payload.
+    /// Returns [`Error`] on a malformed length prefix, a short payload or
+    /// a payload that is not UTF-8.
     pub fn read_str(&mut self) -> Result<&'de str, Error> {
-        let body = self.expect_kind(b's', "string")?;
-        let len_text = body.strip_suffix(':').unwrap_or(body);
-        let len: usize =
-            len_text.parse().map_err(|_| Error::new(format!("bad string length {len_text:?}")))?;
-        let payload = self
-            .input
-            .get(self.pos..self.pos + len)
-            .ok_or_else(|| Error::new("string payload truncated or splits a UTF-8 sequence"))?;
-        self.pos += len;
-        // Consume the trailing space separator, if present.
-        if self.input.as_bytes().get(self.pos) == Some(&b' ') {
-            self.pos += 1;
+        let len = self.parse_kind(b's', "string length")?;
+        std::str::from_utf8(self.take_payload(len)?)
+            .map_err(|_| Error::new("string payload is not UTF-8"))
+    }
+
+    /// Reads a byte-string token. In the binary form the bytes are
+    /// borrowed from the input; in the text form they are decoded from
+    /// hex.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error`] on a malformed length prefix, a short payload or
+    /// (text form) bad hex.
+    pub fn read_bytes(&mut self) -> Result<Cow<'de, [u8]>, Error> {
+        let len: usize = self.parse_kind(b'x', "byte-string length")?;
+        if self.binary {
+            return Ok(Cow::Borrowed(self.take_payload(len)?));
         }
-        Ok(payload)
+        let hex_len = len
+            .checked_mul(2)
+            .ok_or_else(|| Error::new(format!("byte-string length {len} overflows")))?;
+        Ok(Cow::Owned(hex_decode(self.take_payload(hex_len)?)?))
     }
 
     /// Reads a tag token (struct name / enum variant).
@@ -321,7 +455,8 @@ impl<'de> Deserializer<'de> {
     ///
     /// Returns [`Error`] if the next token is not a tag.
     pub fn read_tag(&mut self) -> Result<&'de str, Error> {
-        self.expect_kind(b't', "tag")
+        let body = self.expect_kind(b't', "tag")?;
+        std::str::from_utf8(body).map_err(|_| Error::new("tag is not UTF-8"))
     }
 
     /// Reads a tag token and checks it equals `want`.
@@ -344,8 +479,7 @@ impl<'de> Deserializer<'de> {
     ///
     /// Returns [`Error`] if the next token is not a sequence header.
     pub fn read_seq_len(&mut self) -> Result<usize, Error> {
-        let body = self.expect_kind(b'q', "sequence header")?;
-        body.parse().map_err(|_| Error::new(format!("bad sequence length {body:?}")))
+        self.parse_kind(b'q', "sequence length")
     }
 }
 
@@ -654,6 +788,82 @@ mod tests {
     fn kind_mismatch_is_an_error() {
         assert!(from_str::<u64>(&to_string(&1.5f64)).is_err());
         assert!(from_str::<String>(&to_string(&true)).is_err());
+    }
+
+    /// A byte string in both forms, read back through `read_bytes`.
+    struct Blob(Vec<u8>);
+
+    impl Serialize for Blob {
+        fn serialize(&self, s: &mut Serializer) {
+            s.write_bytes(&self.0);
+        }
+    }
+
+    impl<'de> Deserialize<'de> for Blob {
+        fn deserialize(d: &mut Deserializer<'de>) -> Result<Self, Error> {
+            Ok(Blob(d.read_bytes()?.into_owned()))
+        }
+    }
+
+    #[test]
+    fn byte_strings_roundtrip_in_both_forms() {
+        let all: Vec<u8> = (0..=255).collect();
+        for bytes in [vec![], vec![b' ', b':', 0, 0xff], all] {
+            let blob = Blob(bytes.clone());
+            assert_eq!(from_str::<Blob>(&to_string(&blob)).unwrap().0, bytes);
+            assert_eq!(from_bytes::<Blob>(&to_bytes(&blob)).unwrap().0, bytes);
+        }
+    }
+
+    #[test]
+    fn text_form_spells_bytes_as_hex_and_binary_form_raw() {
+        let blob = Blob(vec![0x00, 0xab, b' ']);
+        assert_eq!(to_string(&blob), "x3:00ab20 ");
+        assert_eq!(to_bytes(&blob), b"x3:\x00\xab  ");
+        // Other tokens are spelled identically in both forms.
+        let v = (vec!["a b".to_owned()], 1.5f64, -3i64);
+        assert_eq!(to_string(&v).as_bytes(), to_bytes(&v).as_slice());
+    }
+
+    #[test]
+    fn binary_byte_strings_are_borrowed() {
+        let wire = to_bytes(&Blob(vec![1, 2, 3]));
+        let mut d = Deserializer::binary(&wire);
+        assert!(matches!(d.read_bytes().unwrap(), Cow::Borrowed([1, 2, 3])));
+        assert!(d.end().is_ok());
+    }
+
+    #[test]
+    fn huge_length_prefixes_are_errors_not_allocations() {
+        for wire in [
+            format!("x{}:abc ", u64::MAX),
+            format!("x{}:abc ", usize::MAX / 2 + 1),
+            format!("s{}:abc ", u64::MAX),
+            "x99999999999999999999999:abc ".to_owned(),
+        ] {
+            assert!(from_bytes::<Blob>(wire.as_bytes()).is_err(), "{wire}");
+            assert!(from_str::<Blob>(&wire).is_err(), "{wire}");
+        }
+        assert!(from_bytes::<String>(format!("s{}:abc ", u64::MAX).as_bytes()).is_err());
+    }
+
+    #[test]
+    fn truncated_binary_input_is_an_error() {
+        let full = to_bytes(&(Blob(vec![7; 40]), 5u64));
+        for cut in 0..full.len() - 1 {
+            assert!(from_bytes::<(Blob, u64)>(&full[..cut]).is_err(), "prefix {cut} parsed");
+        }
+    }
+
+    #[test]
+    fn binary_strings_must_be_utf8() {
+        assert!(from_bytes::<String>(b"s2:\xff\xfe ").is_err());
+    }
+
+    #[test]
+    fn malformed_hex_is_an_error() {
+        assert!(from_str::<Blob>("x2:0g12 ").is_err());
+        assert!(from_str::<Blob>("x2:ABCD ").is_err(), "uppercase is not the text form");
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! same directory with fresh ones — exactly what a second
 //! `vstress-repro --store` invocation does.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use vstress::codecs::{CodecId, EncoderParams};
+use vstress::exec::store::checksum64;
 use vstress::workbench::RunSpec;
 use vstress::{RunCache, RunStore};
 
@@ -153,6 +154,111 @@ fn schema_version_bump_invalidates_old_entries() {
     let old_again = fresh_cache(&root);
     old_again.run(&spec()).unwrap();
     assert_eq!(old_again.stats().store_hits, 1);
+
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Mirror of the store's entry header (see `vstress::exec::store`), so a
+/// test can forge an entry whose length and checksum still match.
+#[derive(serde::Serialize, serde::Deserialize)]
+struct EntryHeader {
+    version: u32,
+    kind: String,
+    key: String,
+    len: u64,
+    checksum: u64,
+}
+
+/// Rewrites the entry at `path` with its payload passed through `edit`
+/// and the header's length and checksum recomputed, so the damage gets
+/// past the envelope checks and reaches the payload decoder.
+fn reseal(path: &Path, edit: impl FnOnce(&mut Vec<u8>)) {
+    let data = std::fs::read(path).unwrap();
+    let mut d = serde::Deserializer::binary(&data);
+    let mut header: EntryHeader = serde::Deserialize::deserialize(&mut d).unwrap();
+    let mut payload = d.remaining().to_vec();
+    edit(&mut payload);
+    header.len = payload.len() as u64;
+    header.checksum = checksum64(&payload);
+    let mut entry = serde::to_bytes(&header);
+    entry.extend_from_slice(&payload);
+    std::fs::write(path, entry).unwrap();
+}
+
+/// In a stored capture's payload, the byte range of the first stream
+/// chunk's length digits (`x<len>:`) and the offset of its first byte.
+fn first_chunk(payload: &[u8]) -> (std::ops::Range<usize>, usize) {
+    // Only the clip name and integer tokens come before the first chunk.
+    let digits = payload.windows(2).position(|w| w == b" x").expect("a chunk token") + 2;
+    let colon = digits + payload[digits..].iter().position(|&b| b == b':').unwrap();
+    (digits..colon, colon + 1)
+}
+
+#[test]
+fn corrupt_stream_entries_are_quarantined_and_recaptured() {
+    let root = tmp_root("stream-corruption");
+
+    // Process 1 captures and stores; dropping the run entry leaves a
+    // stream-only store, so the next run must load the stream.
+    let first = fresh_cache(&root);
+    let computed = first.run(&spec()).unwrap();
+    drop(first);
+    let store = RunStore::open(&root).unwrap();
+    let (run_dir, stream_dir) = (store.dir().join("run"), store.dir().join("stream"));
+    drop(store);
+    let entries: Vec<PathBuf> = std::fs::read_dir(&stream_dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "entry"))
+        .collect();
+    assert_eq!(entries.len(), 1);
+    let path = &entries[0];
+    let pristine = std::fs::read(path).unwrap();
+
+    type Corruption = fn(&Path);
+    let cases: [(&str, Corruption); 4] = [
+        ("truncated", |p| {
+            let data = std::fs::read(p).unwrap();
+            std::fs::write(p, &data[..data.len() * 2 / 3]).unwrap();
+        }),
+        ("one flipped payload byte", |p| {
+            let mut data = std::fs::read(p).unwrap();
+            let mid = data.len() / 2;
+            data[mid] ^= 0x10;
+            std::fs::write(p, data).unwrap();
+        }),
+        ("chunk length u64::MAX", |p| {
+            reseal(p, |payload| {
+                let (digits, _) = first_chunk(payload);
+                payload.splice(digits, u64::MAX.to_string().into_bytes());
+            })
+        }),
+        ("bad opcode under a valid checksum", |p| {
+            reseal(p, |payload| {
+                let (_, start) = first_chunk(payload);
+                payload[start] = 0x07;
+            })
+        }),
+    ];
+    for (what, corrupt) in cases {
+        let _ = std::fs::remove_dir_all(&run_dir);
+        std::fs::write(path, &pristine).unwrap();
+        corrupt(path);
+        assert_ne!(std::fs::read(path).unwrap(), pristine, "{what}: the entry must change");
+
+        let cache = fresh_cache(&root);
+        let run = cache.run(&spec()).unwrap();
+        assert_eq!(*run, *computed, "{what}: the recapture must reproduce the run");
+        let s = cache.stats();
+        assert_eq!(s.store_quarantined, 1, "{what}");
+        assert_eq!((s.store_hits, s.store_misses), (0, 2), "{what}");
+        assert_eq!((s.encodes, s.stream_captures), (1, 1), "{what}: the stream is recaptured");
+        drop(cache);
+        assert_eq!(std::fs::read(path).unwrap(), pristine, "{what}: the recapture is re-stored");
+        let mut quarantined = path.clone().into_os_string();
+        quarantined.push(".quarantined");
+        assert!(PathBuf::from(quarantined).exists(), "{what}: the evidence stays inspectable");
+    }
 
     let _ = std::fs::remove_dir_all(&root);
 }
