@@ -553,11 +553,13 @@ fn run_suite(suite: &mut Suite, tile_workers: usize, frame_workers: usize) -> Wa
         .expect("valid params");
     suite.time_it("encode_tile_workers_1", 0, || {
         let mut probe = NullProbe;
-        black_box(tile_encoder.encode_with(&tile_clip, &mut probe, 1).expect("encode"));
+        black_box(tile_encoder.encode_threaded(&tile_clip, &mut probe, 1, 1).expect("encode"));
     });
     suite.time_it(&format!("encode_tile_workers_{tile_workers}"), 0, || {
         let mut probe = NullProbe;
-        black_box(tile_encoder.encode_with(&tile_clip, &mut probe, tile_workers).expect("encode"));
+        black_box(
+            tile_encoder.encode_threaded(&tile_clip, &mut probe, tile_workers, 1).expect("encode"),
+        );
     });
 
     // Cross-frame pipelining: the same dead-probe encode over a clip

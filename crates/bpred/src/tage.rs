@@ -129,7 +129,7 @@ impl TageEntry {
 
 /// The TAGE predictor. See the module docs for structure.
 ///
-/// The tables/history state lives in [`TageCore`], a separate field
+/// The tables/history state lives in `TageCore`, a separate field
 /// from the `last` prediction scratch, so `update` can train (`&mut
 /// core`) while reading the scratch (`&last`) without copying the
 /// ~100-byte scratch struct on every branch.

@@ -30,7 +30,6 @@
 pub mod cache;
 pub mod config;
 pub mod hierarchy;
-pub mod multicore;
 pub mod policy;
 pub mod prefetch;
 pub mod reference;
@@ -38,7 +37,6 @@ pub mod reference;
 pub use cache::{AccessKind, Cache, CacheStats};
 pub use config::{CacheConfig, HierarchyConfig};
 pub use hierarchy::{Hierarchy, HierarchyStats, ServiceLevel};
-pub use multicore::MulticoreHierarchy;
 pub use policy::ReplacementPolicy;
 pub use prefetch::PrefetchList;
 pub use reference::ReferenceHierarchy;

@@ -3,10 +3,38 @@
 //! A strength-adaptive smoothing of block edges on the reconstructed
 //! frame. Both the encoder's reconstruction loop and the decoder run this
 //! identical pass, so reconstructions stay bit-exact — the round-trip
-//! integration tests depend on that.
+//! integration tests depend on that. The cross-frame pipeline's reference
+//! views apply the same per-edge filter silently (under a dead probe)
+//! as rows are published.
 
 use vstress_trace::{Kernel, Probe};
-use vstress_video::Plane;
+use vstress_video::{Frame, Plane};
+
+/// Deblock lattice pitch of the luma plane.
+pub(crate) const LUMA_GRID: usize = 8;
+
+/// Deblock lattice pitch of the (4:2:0) chroma planes.
+pub(crate) const CHROMA_GRID: usize = 4;
+
+/// Branch-site PC of [`filter_pair`]'s edge-activity branch.
+///
+/// The value is the `site_pc!()` hash (file/line/column) this site had
+/// when it landed, pinned so that moving the line cannot re-index every
+/// simulated predictor table.
+const EDGE_FILTER_BRANCH_PC: u64 = 0x56d8_b2c5_d194;
+
+/// The filter strength for a frame quantization step.
+pub(crate) fn strength(qstep: i32) -> i32 {
+    (qstep / 8).clamp(1, 48)
+}
+
+/// Deblocks every plane of a finished reconstruction: luma on the
+/// [`LUMA_GRID`] lattice, chroma on the [`CHROMA_GRID`] lattice.
+pub(crate) fn deblock_frame<P: Probe>(probe: &mut P, frame: &mut Frame, qstep: i32) {
+    deblock_plane(probe, frame.luma_mut(), LUMA_GRID, qstep);
+    deblock_plane(probe, frame.cb_mut(), CHROMA_GRID, qstep);
+    deblock_plane(probe, frame.cr_mut(), CHROMA_GRID, qstep);
+}
 
 /// Filters the vertical and horizontal block edges of `plane` on an
 /// `grid x grid` lattice with a strength derived from the quantizer.
@@ -17,12 +45,12 @@ use vstress_video::Plane;
 /// to the quantization step.
 pub fn deblock_plane<P: Probe>(probe: &mut P, plane: &mut Plane, grid: usize, qstep: i32) {
     probe.set_kernel(Kernel::Deblock);
-    let strength = (qstep / 8).clamp(1, 48);
+    let strength = strength(qstep);
     let (w, h) = (plane.width(), plane.height());
     // Vertical edges.
     for x in (grid..w).step_by(grid) {
         for y in 0..h {
-            filter_pair(probe, plane, x - 1, y, x, y, strength);
+            filter_pair(probe, plane, (x - 1, y), (x, y), strength);
         }
         probe.sse((h as u64).div_ceil(8) * 2);
         probe.load(plane.sample_addr(x - 1, 0), 2);
@@ -32,7 +60,7 @@ pub fn deblock_plane<P: Probe>(probe: &mut P, plane: &mut Plane, grid: usize, qs
     // Horizontal edges.
     for y in (grid..h).step_by(grid) {
         for x in 0..w {
-            filter_pair(probe, plane, x, y - 1, x, y, strength);
+            filter_pair(probe, plane, (x, y - 1), (x, y), strength);
         }
         probe.sse((w as u64).div_ceil(32) * 2);
         probe.load(plane.sample_addr(0, y - 1), w.min(32) as u32);
@@ -41,14 +69,13 @@ pub fn deblock_plane<P: Probe>(probe: &mut P, plane: &mut Plane, grid: usize, qs
     }
 }
 
+/// The 2-sample low-pass across the edge between samples `a` and `b`.
 #[inline]
-fn filter_pair<P: Probe>(
+pub(crate) fn filter_pair<P: Probe>(
     probe: &mut P,
     plane: &mut Plane,
-    ax: usize,
-    ay: usize,
-    bx: usize,
-    by: usize,
+    (ax, ay): (usize, usize),
+    (bx, by): (usize, usize),
     strength: i32,
 ) {
     let a = plane.get(ax, ay) as i32;
@@ -57,7 +84,7 @@ fn filter_pair<P: Probe>(
     let filter = step.abs() < 2 * strength && step != 0;
     // Edge-activity branch: biased (most edges are quiet) but
     // content-dependent — reported so the predictor study sees it.
-    probe.branch(vstress_trace::site_pc!(), filter);
+    probe.branch(EDGE_FILTER_BRANCH_PC, filter);
     if filter {
         let delta = step / 4;
         plane.set(ax, ay, (a + delta).clamp(0, 255) as u8);

@@ -9,7 +9,7 @@
 //! between our encode and decode paths reproduces that claim).
 
 use crate::bitstream::SequenceHeader;
-use crate::deblock::deblock_plane;
+use crate::deblock::deblock_frame;
 use crate::entropy::RangeDecoder;
 use crate::error::CodecError;
 use crate::frame_coder::{decode_sb_chroma, decode_superblock, CoderConfig, CoderState};
@@ -97,9 +97,7 @@ impl Decoder {
                 }
             }
             let qstep = qindex_to_qstep(fcfg.qindex);
-            deblock_plane(probe, recon.luma_mut(), 8, qstep);
-            deblock_plane(probe, recon.cb_mut(), 4, qstep);
-            deblock_plane(probe, recon.cr_mut(), 4, qstep);
+            deblock_frame(probe, &mut recon, qstep);
             frames.push(crate::encoder::crop(&recon, w, h)?);
             if frame_no % crate::encoder::GOLDEN_INTERVAL == 0 {
                 golden_recon = Some(recon.clone());

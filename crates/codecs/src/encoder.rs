@@ -2,8 +2,9 @@
 
 use crate::batch::run_ordered;
 use crate::bitstream::{mode_mask, shape_mask, SequenceHeader};
+use crate::blocks::BlockRect;
 use crate::codecs::{CodecId, ToolSet};
-use crate::deblock::deblock_plane;
+use crate::deblock::deblock_frame;
 use crate::entropy::RangeEncoder;
 use crate::error::CodecError;
 use crate::frame_coder::{
@@ -15,12 +16,13 @@ use crate::mc::MotionVector;
 use crate::params::{qindex_to_qstep, EncoderParams};
 use crate::params::{MAX_QINDEX, MIN_QINDEX};
 use crate::taskgraph::{
-    plan_layout, FrameTaskTrace, PipelineStats, PlanLayout, PlanUnit, TaskTrace, UnitSpan,
+    plan_layout, FrameTaskTrace, PlanChain, PlanLayout, PlanUnit, TaskTrace, UnitSpan,
 };
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use vstress_trace::{CountingProbe, EventBatch, Kernel, NullProbe, Probe, RecordingProbe};
+use vstress_trace::{EventBatch, Kernel, NullProbe, Probe, RecordingProbe};
 use vstress_video::{Clip, Frame};
 
 /// Branch-site PC of the rate-control row loop.
@@ -129,262 +131,47 @@ impl Encoder {
 
     /// Encodes `clip`, reporting all instrumentation through `probe`.
     ///
-    /// Equivalent to [`Encoder::encode_with`] at one tile worker (the
-    /// canonical serial execution).
+    /// The canonical serial execution: [`Encoder::encode_threaded`] at
+    /// one tile worker and one frame worker.
     ///
     /// # Errors
     ///
     /// Returns [`CodecError::UnsupportedInput`] for clips that exceed the
     /// header's 16-bit geometry fields.
     pub fn encode<P: Probe>(&self, clip: &Clip, probe: &mut P) -> Result<EncodeResult, CodecError> {
-        self.encode_with(clip, probe, 1)
+        self.encode_threaded(clip, probe, 1, 1)
     }
 
-    /// Encodes `clip` with the partition search decomposed into the
-    /// codec's tile/wavefront plan units
-    /// ([`plan_layout`](crate::taskgraph::plan_layout)) and executed on
-    /// up to `tile_workers` worker threads.
+    /// Encodes `clip` with intra-frame (`tile_workers`) and cross-frame
+    /// (`frame_workers`) parallelism.
     ///
-    /// The result is **worker-count invariant**: every unit records its
-    /// probe events into a private
-    /// [`EventBatch`](vstress_trace::EventBatch) and the batches are
-    /// replayed into `probe` in canonical merge order (tile-major,
-    /// row-major within tile), so the bitstream, the reconstruction, the
-    /// task trace, and the full probe event stream — branch PCs included
-    /// — are byte-identical to the serial encode (pinned by the
-    /// `tile_equivalence` oracle; comparisons across separate encode
-    /// calls go through the model's first-touch page canonicalization,
-    /// since the synthetic allocator hands each encode fresh page
-    /// bases).
+    /// Every frame runs through one frame loop: the setup preamble and
+    /// the rate-control pass (admission), the partition search (Phase A),
+    /// then the serial range coding, deblocking and reference update
+    /// (Phase B). The worker counts only decide where admission and
+    /// Phase A run:
     ///
-    /// # Errors
+    /// - At one frame worker both drive `probe` directly on this thread.
+    ///   Phase A is split into the codec's tile/wavefront plan units
+    ///   ([`plan_layout`]); with more than one tile worker the units run
+    ///   on up to `tile_workers` threads, each recording its events into
+    ///   a private [`EventBatch`], and the batches are replayed into
+    ///   `probe` in canonical merge order (tile-major, row-major within
+    ///   tile).
+    /// - At two or more frame workers, frame `N+1`'s admission and plan
+    ///   units run on a worker pool as soon as the reference rows they
+    ///   read are published ([`crate::frame_pipeline`]), overlapping
+    ///   frame `N`'s Phase B; up to `frame_workers` frames are in flight.
     ///
-    /// Returns [`CodecError::UnsupportedInput`] for clips that exceed the
-    /// header's 16-bit geometry fields.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tile_workers` is zero.
-    pub fn encode_with<P: Probe>(
-        &self,
-        clip: &Clip,
-        probe: &mut P,
-        tile_workers: usize,
-    ) -> Result<EncodeResult, CodecError> {
-        assert!(tile_workers > 0, "need at least one tile worker thread");
-        let (w, h) = clip.dimensions();
-        if w > u16::MAX as usize || h > u16::MAX as usize || clip.frames().len() > u16::MAX as usize
-        {
-            return Err(CodecError::UnsupportedInput {
-                reason: format!(
-                    "clip geometry {w}x{h} x {} frames exceeds header fields",
-                    clip.frames().len()
-                ),
-            });
-        }
-        let base_cfg = CoderConfig::from_tools(&self.tools, self.params.crf);
-        let sb = self.tools.superblock;
-        let header = SequenceHeader {
-            codec: self.tools.codec,
-            width: w as u16,
-            height: h as u16,
-            frame_count: clip.frames().len() as u16,
-            fps: clip.fps().round() as u16,
-            qindex: base_cfg.qindex,
-            superblock: sb as u8,
-            min_block: self.tools.min_block as u8,
-            max_depth: self.tools.max_depth as u8,
-            shape_mask: shape_mask(&base_cfg.shapes),
-            mode_mask: mode_mask(&base_cfg.modes),
-            ref_frames: self.tools.ref_frames as u8,
-            keyint: self.params.keyint,
-        };
-        let mut bitstream = Vec::new();
-        header.write(&mut bitstream);
-
-        let mut enc = RangeEncoder::new();
-        let mut state = CoderState::new();
-        let mut plan_scratch = PlanScratch::new();
-        // Reference list: [last, golden]. The golden frame refreshes every
-        // GOLDEN_INTERVAL frames, giving the second reference a longer
-        // temporal reach (flicker/occlusion content benefits).
-        let mut last_recon: Option<Frame> = None;
-        let mut golden_recon: Option<Frame> = None;
-        let mut frame_bits = Vec::new();
-        let mut frame_psnr = Vec::new();
-        let mut recon_out = Vec::new();
-        let mut tasks = TaskTrace::default();
-        let mut bits_mark = 0u64;
-
-        for (frame_no, src) in clip.frames().iter().enumerate() {
-            probe.set_kernel(Kernel::FrameSetup);
-            probe.alu(64);
-            let padded_src = pad_to_multiple(src, sb);
-            let (pw, ph) = (padded_src.width(), padded_src.height());
-            let mut recon = Frame::new(pw, ph).map_err(CodecError::Video)?;
-            let mut frame_trace = FrameTaskTrace::default();
-            let lookahead_mark = probe.retired();
-            // Rate control: the lookahead measures frame activity and the
-            // CRF controller adapts the frame quantizer around the base —
-            // busier frames take a coarser Q (constant-quality behaviour).
-            let activity = rate_control_pass(probe, &padded_src);
-            let qindex = frame_qindex(base_cfg.qindex, activity, pw * ph);
-            let mut cfg = base_cfg.clone();
-            cfg.qindex = qindex;
-            // The frame header: the chosen quantizer, signalled.
-            enc.encode_literal(probe, qindex as u32, 8);
-            frame_trace.lookahead = probe.retired() - lookahead_mark;
-
-            // Assemble the reference list for this frame. References are
-            // borrowed, not copied: stable buffer addresses across frames
-            // are what give the cache simulation its cross-frame reuse.
-            // Keyframes take no references (intra-only).
-            let is_keyframe = frame_no == 0
-                || (self.params.keyint > 0 && frame_no % self.params.keyint as usize == 0);
-            let mut refs: Vec<&Frame> = Vec::new();
-            if !is_keyframe {
-                if let Some(l) = &last_recon {
-                    refs.push(l);
-                }
-                if self.tools.ref_frames > 1 {
-                    if let Some(g) = &golden_recon {
-                        refs.push(g);
-                    }
-                }
-            }
-            let refs_slice: &[&Frame] = &refs;
-
-            // Phase A — partition search, decomposed into the codec's
-            // tile/wavefront plan units. Planning reads only the source
-            // and the (finalized) references, never this frame's
-            // reconstruction, so units without a seed dependency are
-            // data-independent and can run on worker threads.
-            let sb_cols = pw / sb;
-            let sb_row_count = ph / sb;
-            let layout = plan_layout(self.tools.codec, sb_cols, sb_row_count);
-            let (plan_grid, plan_units) = plan_frame(
-                probe,
-                &self.tools,
-                &cfg,
-                &padded_src,
-                refs_slice,
-                &layout,
-                (sb_cols, sb_row_count),
-                tile_workers,
-                &mut plan_scratch,
-            )?;
-            let mut row_plan_cost = vec![0u64; sb_row_count];
-            for u in &plan_units {
-                row_plan_cost[u.row] += u.cost;
-            }
-            frame_trace.plan_units = plan_units;
-
-            // Phase B — coding: entropy coding, reconstruction and the
-            // adaptive contexts are a single serial chain over the frame
-            // raster (one range coder defines the bitstream), exactly as
-            // before the decomposition.
-            let mut plan_grid = plan_grid;
-            for row in 0..sb_row_count {
-                let code_mark = probe.retired();
-                let sy = row * sb;
-                for col in 0..sb_cols {
-                    let sx = col * sb;
-                    let rect =
-                        crate::blocks::BlockRect::new(sx, sy, sb.min(pw - sx), sb.min(ph - sy));
-                    let plan =
-                        plan_grid[row * sb_cols + col].take().expect("every superblock planned");
-                    let info = code_superblock(
-                        probe,
-                        &self.tools,
-                        &cfg,
-                        &padded_src,
-                        refs_slice,
-                        &plan,
-                        &mut enc,
-                        &mut state,
-                        &mut recon,
-                    );
-                    code_sb_chroma(
-                        probe,
-                        &cfg,
-                        &padded_src,
-                        refs_slice,
-                        rect,
-                        &info,
-                        &mut enc,
-                        &mut state,
-                        &mut recon,
-                    );
-                }
-                frame_trace.sb_rows.push(row_plan_cost[row] + (probe.retired() - code_mark));
-            }
-
-            // In-loop filtering (frame-serial stage).
-            let filter_mark = probe.retired();
-            let qstep = qindex_to_qstep(cfg.qindex);
-            deblock_plane(probe, recon.luma_mut(), 8, qstep);
-            deblock_plane(probe, recon.cb_mut(), 4, qstep);
-            deblock_plane(probe, recon.cr_mut(), 4, qstep);
-            frame_trace.filter = probe.retired() - filter_mark;
-            tasks.frames.push(frame_trace);
-
-            let bits_now = enc.bits_written();
-            frame_bits.push(bits_now - bits_mark);
-            bits_mark = bits_now;
-            frame_psnr.push(region_psnr(src, &recon, w, h));
-            recon_out.push(crop(&recon, w, h)?);
-            // The reconstruction is final: edge-pad it once so that
-            // clamped-MV reference reads in the next frames' motion
-            // search hit the contiguous interior path (probe addresses
-            // are unaffected — see `Plane::pad_borders`).
-            recon.luma_mut().pad_borders();
-            recon.cb_mut().pad_borders();
-            recon.cr_mut().pad_borders();
-            if frame_no % GOLDEN_INTERVAL == 0 {
-                golden_recon = Some(recon.clone());
-            }
-            last_recon = Some(recon);
-        }
-
-        let payload = enc.finish();
-        // Attribute the flush tail + header to the last frame.
-        if let Some(last) = frame_bits.last_mut() {
-            *last += (payload.len() as u64 * 8).saturating_sub(bits_mark)
-                + SequenceHeader::BYTES as u64 * 8;
-        }
-        bitstream.extend_from_slice(&payload);
-
-        let total_bits: u64 = frame_bits.iter().sum();
-        let kbps =
-            vstress_video::metrics::bitrate_kbps(total_bits, clip.frames().len(), clip.fps());
-        Ok(EncodeResult {
-            bitstream,
-            frame_bits,
-            frame_psnr,
-            recon: recon_out,
-            bitrate_kbps: kbps,
-            tasks,
-            bit_accounting: state.bits,
-        })
-    }
-
-    /// Encodes `clip` with both intra-frame (`tile_workers`) and
-    /// cross-frame (`frame_workers`) parallelism: frame `N+1`'s Phase A
-    /// plan units start as soon as the reference rows they read are
-    /// published ([`crate::frame_pipeline`]), overlapping frame `N`'s
-    /// serial Phase B range coding; up to `frame_workers` frames are in
-    /// flight.
-    ///
-    /// The result is worker-count invariant in **both** dimensions: per
-    /// unit [`EventBatch`]es are merged in canonical frame/chain/unit
-    /// order, so the bitstream, reconstruction, task trace, and full
-    /// probe event stream are identical to [`Encoder::encode`] at any
-    /// `{tile_workers, frame_workers}` (pinned by the
-    /// `frame_pipeline_equivalence` oracle). Only
-    /// [`FrameTaskTrace::pipeline`] — wall-clock occupancy, excluded
-    /// from equality and serialization — differs.
-    ///
-    /// `frame_workers <= 1` is exactly [`Encoder::encode_with`].
+    /// The result is worker-count invariant in both dimensions: the
+    /// bitstream, reconstruction, task trace and full probe event stream
+    /// — branch PCs included — are identical to [`Encoder::encode`] at
+    /// any `{tile_workers, frame_workers}` (pinned by the
+    /// `frame_pipeline_equivalence` oracle; comparisons across separate
+    /// encode calls go through the model's first-touch page
+    /// canonicalization, since the synthetic allocator hands each encode
+    /// fresh page bases). Only [`FrameTaskTrace::pipeline`] — wall-clock
+    /// occupancy, excluded from equality and serialization — differs.
     ///
     /// # Errors
     ///
@@ -401,42 +188,42 @@ impl Encoder {
         tile_workers: usize,
         frame_workers: usize,
     ) -> Result<EncodeResult, CodecError> {
-        assert!(frame_workers > 0, "need at least one frame worker");
-        if frame_workers <= 1 {
-            return self.encode_with(clip, probe, tile_workers);
-        }
-        self.encode_pipelined(clip, probe, tile_workers, frame_workers)
-    }
-
-    /// The cross-frame pipeline (`frame_workers >= 2`) behind
-    /// [`Encoder::encode_threaded`].
-    ///
-    /// Execution splits into a task pool and a coordinator (this
-    /// thread). Workers claim tasks — one admission (pad + lookahead +
-    /// rate control) and `layout.chains` plan-chain tasks per frame —
-    /// strictly in frame-major order, windowed to `frame_workers` frames
-    /// past the coordinator. Plan units wait on the row watermarks of
-    /// the [`RefView`] snapshots of their references and record their
-    /// events into private batches. The coordinator walks frames in
-    /// order: replays the admission and unit batches canonically into
-    /// `probe`, runs serial Phase B, and publishes each coded
-    /// superblock row into the frame's view (with the deblock filter
-    /// applied incrementally), which is what unblocks the next frames'
-    /// waiting units.
-    ///
-    /// Strict in-order claiming makes the schedule deadlock-free: a
-    /// worker blocked on a watermark holds a task that precedes — in
-    /// claim order — every task the coordinator can be waiting on, and
-    /// its references are frames the coordinator has already published
-    /// or is currently publishing.
-    fn encode_pipelined<P: Probe>(
-        &self,
-        clip: &Clip,
-        probe: &mut P,
-        tile_workers: usize,
-        frame_workers: usize,
-    ) -> Result<EncodeResult, CodecError> {
         assert!(tile_workers > 0, "need at least one tile worker thread");
+        assert!(frame_workers > 0, "need at least one frame worker");
+        let ctx = EncodeCtx::new(self, clip)?;
+        if frame_workers == 1 {
+            encode_serial(&ctx, probe, tile_workers)
+        } else {
+            encode_pipelined(&ctx, probe, tile_workers, frame_workers)
+        }
+    }
+}
+
+/// What every frame of one encode shares: the tools, the base coder
+/// configuration, the padded geometry and the plan layout.
+struct EncodeCtx<'a> {
+    tools: &'a ToolSet,
+    keyint: usize,
+    clip: &'a Clip,
+    base_cfg: CoderConfig,
+    header: SequenceHeader,
+    /// Source dimensions.
+    w: usize,
+    h: usize,
+    /// Superblock size, and the frame padded to a multiple of it.
+    sb: usize,
+    pw: usize,
+    ph: usize,
+    sb_cols: usize,
+    sb_rows: usize,
+    /// Every frame shares the padded geometry, so one layout serves all
+    /// of them.
+    layout: PlanLayout,
+}
+
+impl<'a> EncodeCtx<'a> {
+    fn new(encoder: &'a Encoder, clip: &'a Clip) -> Result<Self, CodecError> {
+        let tools = &encoder.tools;
         let (w, h) = clip.dimensions();
         if w > u16::MAX as usize || h > u16::MAX as usize || clip.frames().len() > u16::MAX as usize
         {
@@ -447,411 +234,654 @@ impl Encoder {
                 ),
             });
         }
-        let base_cfg = CoderConfig::from_tools(&self.tools, self.params.crf);
-        let sb = self.tools.superblock;
+        let base_cfg = CoderConfig::from_tools(tools, encoder.params.crf);
+        let sb = tools.superblock;
         let header = SequenceHeader {
-            codec: self.tools.codec,
+            codec: tools.codec,
             width: w as u16,
             height: h as u16,
             frame_count: clip.frames().len() as u16,
             fps: clip.fps().round() as u16,
             qindex: base_cfg.qindex,
             superblock: sb as u8,
-            min_block: self.tools.min_block as u8,
-            max_depth: self.tools.max_depth as u8,
+            min_block: tools.min_block as u8,
+            max_depth: tools.max_depth as u8,
             shape_mask: shape_mask(&base_cfg.shapes),
             mode_mask: mode_mask(&base_cfg.modes),
-            ref_frames: self.tools.ref_frames as u8,
-            keyint: self.params.keyint,
+            ref_frames: tools.ref_frames as u8,
+            keyint: encoder.params.keyint,
         };
-
-        let n = clip.frames().len();
-        let live = probe.is_live();
-        let pw = w.div_ceil(sb) * sb;
-        let ph = h.div_ceil(sb) * sb;
-        let sb_cols = pw / sb;
-        let sb_rows = ph / sb;
-        // Every frame shares the padded geometry, so one layout serves
-        // all of them (identical to the per-frame serial computation).
-        let layout = plan_layout(self.tools.codec, sb_cols, sb_rows);
-        let range = self.tools.me.range;
-        let keyint = self.params.keyint as usize;
-        let is_key = move |f: usize| f == 0 || (keyint > 0 && f.is_multiple_of(keyint));
-        // The golden reference frame `f` reads: the refresh preceding it.
-        let golden_slot = |f: usize| (f.saturating_sub(1) / GOLDEN_INTERVAL) * GOLDEN_INTERVAL;
-
-        let mut slots = Vec::with_capacity(n);
-        for f in 0..n {
-            let golden_view = if self.tools.ref_frames > 1 && f % GOLDEN_INTERVAL == 0 {
-                Some(RefView::new(pw, ph).map_err(CodecError::Video)?)
-            } else {
-                None
-            };
-            slots.push(FrameSlot {
-                admission: Mutex::new(None),
-                adm_ready: AtomicBool::new(false),
-                chains: Mutex::new((0..layout.chains.len()).map(|_| None).collect()),
-                chains_done: AtomicUsize::new(0),
-                view: RefView::new(pw, ph).map_err(CodecError::Video)?,
-                golden_view,
-            });
-        }
-
-        // Flat frame-major task list; claims are strictly in this order.
-        let mut pipe_tasks = Vec::with_capacity(n * (1 + layout.chains.len()));
-        for f in 0..n {
-            pipe_tasks.push(PipeTask { frame: f, chain: None });
-            for ci in 0..layout.chains.len() {
-                pipe_tasks.push(PipeTask { frame: f, chain: Some(ci) });
-            }
-        }
-
-        let hub = PipelineHub::new();
-        let depth = frame_workers;
-        let pool = frame_workers.max(tile_workers).min(pipe_tasks.len().max(1));
-
-        let run_admission = |slot: &FrameSlot, f: usize| {
-            let t0 = Instant::now();
-            let src = &clip.frames()[f];
-            let (setup, rc, padded, activity) = if live {
-                let mut local = CountingProbe::new();
-                let mut rec = RecordingProbe::new(&mut local);
-                rec.set_kernel(Kernel::FrameSetup);
-                rec.alu(64);
-                let setup = rec.into_batch();
-                let padded = pad_to_multiple(src, sb);
-                let mut rec = RecordingProbe::new(&mut local);
-                let activity = rate_control_pass(&mut rec, &padded);
-                (setup, rec.into_batch(), padded, activity)
-            } else {
-                let padded = pad_to_multiple(src, sb);
-                let activity = rate_control_pass(&mut NullProbe, &padded);
-                (EventBatch::new(), EventBatch::new(), padded, activity)
-            };
-            let qindex = frame_qindex(base_cfg.qindex, activity, pw * ph);
-            let out = AdmissionOut {
-                padded_src: Arc::new(padded),
-                qindex,
-                setup,
-                rc,
-                busy_ns: t0.elapsed().as_nanos() as u64,
-            };
-            *slot.admission.lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-            slot.adm_ready.store(true, Ordering::Release);
-            hub.notify();
-        };
-
-        // Returns false when the pipeline was canceled mid-wait.
-        let run_chain = |slot: &FrameSlot, f: usize, ci: usize, scratch: &mut PlanScratch| {
-            if !hub.wait_until(|| slot.adm_ready.load(Ordering::Acquire)) {
-                return false;
-            }
-            let (padded, qindex) = {
-                let g = slot.admission.lock().unwrap_or_else(|e| e.into_inner());
-                let adm = g.as_ref().expect("admission stored before adm_ready");
-                (Arc::clone(&adm.padded_src), adm.qindex)
-            };
-            let mut cfg = base_cfg.clone();
-            cfg.qindex = qindex;
-            let keyframe = is_key(f);
-            let last_view = if keyframe { None } else { Some(&slots[f - 1].view) };
-            let gold_view = if keyframe || self.tools.ref_frames <= 1 {
-                None
-            } else {
-                Some(
-                    slots[golden_slot(f)]
-                        .golden_view
-                        .as_ref()
-                        .expect("refresh slots carry a golden view"),
-                )
-            };
-            let chain = &layout.chains[ci];
-            let t_total = Instant::now();
-            let mut stall_ns = 0u64;
-            let mut seed = MotionVector::ZERO;
-            let mut local = CountingProbe::new();
-            let mut units = Vec::with_capacity(chain.units.len());
-            for unit in &chain.units {
-                let need = watermark_need(unit.row, sb, range, ph);
-                let t0 = Instant::now();
-                if let Some(v) = last_view {
-                    if !v.wait_rows(&hub, need) {
-                        return false;
-                    }
-                }
-                if let Some(v) = gold_view {
-                    if !v.wait_rows(&hub, need) {
-                        return false;
-                    }
-                }
-                stall_ns += t0.elapsed().as_nanos() as u64;
-                let mut plans = Vec::with_capacity(unit.cols.len());
-                let batch = if live {
-                    let mut rec = RecordingProbe::new(&mut local);
-                    plan_unit_cols(
-                        &mut rec,
-                        &self.tools,
-                        &cfg,
-                        &padded,
-                        last_view,
-                        gold_view,
-                        unit,
-                        (sb, pw, ph),
-                        &mut seed,
-                        scratch,
-                        &mut plans,
-                    );
-                    rec.into_batch()
-                } else {
-                    plan_unit_cols(
-                        &mut NullProbe,
-                        &self.tools,
-                        &cfg,
-                        &padded,
-                        last_view,
-                        gold_view,
-                        unit,
-                        (sb, pw, ph),
-                        &mut seed,
-                        scratch,
-                        &mut plans,
-                    );
-                    EventBatch::new()
-                };
-                units.push(UnitOut { batch, plans });
-            }
-            let busy_ns = (t_total.elapsed().as_nanos() as u64).saturating_sub(stall_ns);
-            {
-                let mut g = slot.chains.lock().unwrap_or_else(|e| e.into_inner());
-                g[ci] = Some(ChainOut { units, stall_ns, busy_ns });
-            }
-            slot.chains_done.fetch_add(1, Ordering::Release);
-            hub.notify();
-            true
-        };
-
-        let worker_loop = || {
-            // A panicking worker must not leave the coordinator (or
-            // other workers) blocked on a watermark forever.
-            let _guard = CancelOnPanic(&hub);
-            let mut scratch = PlanScratch::new();
-            while let Some(ti) = hub.claim(pipe_tasks.len(), depth, |i| pipe_tasks[i].frame) {
-                let task = pipe_tasks[ti];
-                match task.chain {
-                    None => run_admission(&slots[task.frame], task.frame),
-                    Some(ci) => {
-                        if !run_chain(&slots[task.frame], task.frame, ci, &mut scratch) {
-                            break;
-                        }
-                    }
-                }
-            }
-        };
-
-        std::thread::scope(|s| {
-            let worker_loop = &worker_loop;
-            for _ in 0..pool {
-                s.spawn(worker_loop);
-            }
-            // Any coordinator exit — success, error, panic — must
-            // release workers still blocked in the claim window.
-            let _cancel = CancelOnDrop(&hub);
-
-            let mut bitstream = Vec::new();
-            header.write(&mut bitstream);
-            let mut enc = RangeEncoder::new();
-            let mut state = CoderState::new();
-            let mut last_recon: Option<Frame> = None;
-            let mut golden_recon: Option<Frame> = None;
-            let mut frame_bits = Vec::new();
-            let mut frame_psnr = Vec::new();
-            let mut recon_out = Vec::new();
-            let mut tasks = TaskTrace::default();
-            let mut bits_mark = 0u64;
-
-            for (frame_no, slot) in slots.iter().enumerate() {
-                hub.advance(frame_no);
-                let src = &clip.frames()[frame_no];
-                let mut recon = Frame::new(pw, ph).map_err(CodecError::Video)?;
-                let mut frame_trace = FrameTaskTrace::default();
-                let mut pstats = PipelineStats::default();
-
-                if !hub.wait_until(|| slot.adm_ready.load(Ordering::Acquire)) {
-                    return Err(pipeline_canceled());
-                }
-                let (padded_src, qindex) = {
-                    let g = slot.admission.lock().unwrap_or_else(|e| e.into_inner());
-                    let adm = g.as_ref().expect("admission stored before adm_ready");
-                    // The replayed stream reproduces the serial frame
-                    // preamble exactly: setup events, the lookahead
-                    // span (rate control + the signalled quantizer).
-                    adm.setup.replay(probe);
-                    let lookahead_mark = probe.retired();
-                    adm.rc.replay(probe);
-                    enc.encode_literal(probe, adm.qindex as u32, 8);
-                    frame_trace.lookahead = probe.retired() - lookahead_mark;
-                    pstats.busy_ns += adm.busy_ns;
-                    (Arc::clone(&adm.padded_src), adm.qindex)
-                };
-                let mut cfg = base_cfg.clone();
-                cfg.qindex = qindex;
-
-                let is_keyframe = is_key(frame_no);
-                let mut refs: Vec<&Frame> = Vec::new();
-                if !is_keyframe {
-                    if let Some(l) = &last_recon {
-                        refs.push(l);
-                    }
-                    if self.tools.ref_frames > 1 {
-                        if let Some(g) = &golden_recon {
-                            refs.push(g);
-                        }
-                    }
-                }
-                let refs_slice: &[&Frame] = &refs;
-
-                let n_chains = layout.chains.len();
-                if !hub.wait_until(|| slot.chains_done.load(Ordering::Acquire) == n_chains) {
-                    return Err(pipeline_canceled());
-                }
-                let chain_outs = {
-                    let mut g = slot.chains.lock().unwrap_or_else(|e| e.into_inner());
-                    std::mem::take(&mut *g)
-                };
-                let mut plan_grid: Vec<Option<NodePlan>> =
-                    (0..sb_cols * sb_rows).map(|_| None).collect();
-                for (chain, out) in layout.chains.iter().zip(chain_outs) {
-                    let out = out.expect("chain stored before chains_done");
-                    pstats.stall_ns += out.stall_ns;
-                    pstats.busy_ns += out.busy_ns;
-                    for (unit, uout) in chain.units.iter().zip(out.units) {
-                        let mark = probe.retired();
-                        uout.batch.replay(probe);
-                        frame_trace.plan_units.push(PlanUnit {
-                            tile: unit.tile,
-                            row: unit.row,
-                            chunk: unit.chunk,
-                            cost: probe.retired() - mark,
-                        });
-                        for (col, plan) in unit.cols.clone().zip(uout.plans) {
-                            plan_grid[unit.row * sb_cols + col] = Some(plan);
-                        }
-                    }
-                }
-                let mut row_plan_cost = vec![0u64; sb_rows];
-                for u in &frame_trace.plan_units {
-                    row_plan_cost[u.row] += u.cost;
-                }
-                frame_trace.pipeline = pstats;
-
-                // Publish only views someone will read: the next frame
-                // (unless it is intra-only) or the golden snapshot this
-                // refresh frame feeds.
-                let publish_view =
-                    slot.golden_view.is_some() || (frame_no + 1 < n && !is_key(frame_no + 1));
-                let qstep = qindex_to_qstep(cfg.qindex);
-                for row in 0..sb_rows {
-                    let code_mark = probe.retired();
-                    let sy = row * sb;
-                    for col in 0..sb_cols {
-                        let sx = col * sb;
-                        let rect =
-                            crate::blocks::BlockRect::new(sx, sy, sb.min(pw - sx), sb.min(ph - sy));
-                        let plan = plan_grid[row * sb_cols + col]
-                            .take()
-                            .expect("every superblock planned");
-                        let info = code_superblock(
-                            probe,
-                            &self.tools,
-                            &cfg,
-                            &padded_src,
-                            refs_slice,
-                            &plan,
-                            &mut enc,
-                            &mut state,
-                            &mut recon,
-                        );
-                        code_sb_chroma(
-                            probe,
-                            &cfg,
-                            &padded_src,
-                            refs_slice,
-                            rect,
-                            &info,
-                            &mut enc,
-                            &mut state,
-                            &mut recon,
-                        );
-                    }
-                    frame_trace.sb_rows.push(row_plan_cost[row] + (probe.retired() - code_mark));
-                    if publish_view {
-                        slot.view.publish(
-                            &hub,
-                            recon.luma(),
-                            (row + 1) * sb,
-                            qstep,
-                            slot.golden_view.as_ref(),
-                        );
-                    }
-                }
-
-                let filter_mark = probe.retired();
-                deblock_plane(probe, recon.luma_mut(), 8, qstep);
-                deblock_plane(probe, recon.cb_mut(), 4, qstep);
-                deblock_plane(probe, recon.cr_mut(), 4, qstep);
-                frame_trace.filter = probe.retired() - filter_mark;
-                tasks.frames.push(frame_trace);
-
-                let bits_now = enc.bits_written();
-                frame_bits.push(bits_now - bits_mark);
-                bits_mark = bits_now;
-                frame_psnr.push(region_psnr(src, &recon, w, h));
-                recon_out.push(crop(&recon, w, h)?);
-                recon.luma_mut().pad_borders();
-                recon.cb_mut().pad_borders();
-                recon.cr_mut().pad_borders();
-                if publish_view {
-                    debug_assert_eq!(
-                        slot.view.read().frame().luma(),
-                        recon.luma(),
-                        "published view must equal the deblocked reconstruction"
-                    );
-                }
-                if frame_no % GOLDEN_INTERVAL == 0 {
-                    let mut golden = recon.clone();
-                    if let Some(gv) = &slot.golden_view {
-                        // Phase A read the golden snapshot's pages; the
-                        // Phase B clone must be the same buffer as far
-                        // as the probes are concerned — exactly as both
-                        // phases read the single clone under serial
-                        // execution.
-                        golden.luma_mut().adopt_probe_identity(gv.read().frame().luma());
-                    }
-                    golden_recon = Some(golden);
-                }
-                last_recon = Some(recon);
-            }
-
-            let payload = enc.finish();
-            if let Some(last) = frame_bits.last_mut() {
-                *last += (payload.len() as u64 * 8).saturating_sub(bits_mark)
-                    + SequenceHeader::BYTES as u64 * 8;
-            }
-            bitstream.extend_from_slice(&payload);
-
-            let total_bits: u64 = frame_bits.iter().sum();
-            let kbps = vstress_video::metrics::bitrate_kbps(total_bits, n, clip.fps());
-            Ok(EncodeResult {
-                bitstream,
-                frame_bits,
-                frame_psnr,
-                recon: recon_out,
-                bitrate_kbps: kbps,
-                tasks,
-                bit_accounting: state.bits,
-            })
+        let (pw, ph) = (w.div_ceil(sb) * sb, h.div_ceil(sb) * sb);
+        let (sb_cols, sb_rows) = (pw / sb, ph / sb);
+        Ok(EncodeCtx {
+            tools,
+            keyint: encoder.params.keyint as usize,
+            clip,
+            base_cfg,
+            header,
+            w,
+            h,
+            sb,
+            pw,
+            ph,
+            sb_cols,
+            sb_rows,
+            layout: plan_layout(tools.codec, sb_cols, sb_rows),
         })
     }
+
+    /// Whether frame `f` is a keyframe (intra-only).
+    fn is_key(&self, f: usize) -> bool {
+        f == 0 || (self.keyint > 0 && f.is_multiple_of(self.keyint))
+    }
+
+    /// The coder configuration of a frame coded at `qindex`.
+    fn frame_cfg(&self, qindex: u8) -> CoderConfig {
+        let mut cfg = self.base_cfg.clone();
+        cfg.qindex = qindex;
+        cfg
+    }
+
+    /// Frame admission: pads `src` to the superblock grid and runs the
+    /// rate-control pass. The lookahead measures frame activity and the
+    /// CRF controller adapts the frame quantizer around the base —
+    /// busier frames take a coarser Q (constant-quality behaviour).
+    /// Returns the padded source and its quantizer.
+    fn admit<P: Probe>(&self, probe: &mut P, src: &Frame) -> (Frame, u8) {
+        let padded = pad_to_multiple(src, self.sb);
+        let activity = rate_control_pass(probe, &padded);
+        (padded, frame_qindex(self.base_cfg.qindex, activity, self.pw * self.ph))
+    }
+
+    /// Frame `f`'s reference list, `[last, golden]`. References are
+    /// borrowed, not copied: stable buffer addresses across frames are
+    /// what give the cache simulation its cross-frame reuse. Keyframes
+    /// take no references.
+    fn ref_list<'r>(&self, f: usize, refs: &'r References) -> Vec<&'r Frame> {
+        if self.is_key(f) {
+            return Vec::new();
+        }
+        let golden = refs.golden.as_ref().filter(|_| self.tools.ref_frames > 1);
+        refs.last.iter().chain(golden).collect()
+    }
+
+    /// The superblock at (`col`, `row`) of the padded frame.
+    fn sb_rect(&self, col: usize, row: usize) -> BlockRect {
+        let (sx, sy) = (col * self.sb, row * self.sb);
+        BlockRect::new(sx, sy, self.sb.min(self.pw - sx), self.sb.min(self.ph - sy))
+    }
+}
+
+/// The reconstructions later frames predict from: the previous frame,
+/// and the golden frame, refreshed every [`GOLDEN_INTERVAL`] frames to
+/// give the second reference a longer temporal reach (flicker and
+/// occlusion content benefit).
+#[derive(Default)]
+struct References {
+    last: Option<Frame>,
+    golden: Option<Frame>,
+}
+
+/// The frame-serial half of one encode, shared by both drivers: the
+/// range coder and adaptive contexts, the references and the per-frame
+/// outputs. A driver opens each frame ([`FrameLoop::open_frame`]), runs
+/// its Phase A wherever it schedules it, and hands the plans to
+/// [`FrameLoop::code_frame`].
+struct FrameLoop<'a> {
+    ctx: &'a EncodeCtx<'a>,
+    enc: RangeEncoder,
+    state: CoderState,
+    refs: References,
+    frame_bits: Vec<u64>,
+    frame_psnr: Vec<f64>,
+    recon: Vec<Frame>,
+    tasks: TaskTrace,
+    /// Bits written when the previous frame ended.
+    bits_mark: u64,
+}
+
+impl<'a> FrameLoop<'a> {
+    fn new(ctx: &'a EncodeCtx<'a>) -> Self {
+        FrameLoop {
+            ctx,
+            enc: RangeEncoder::new(),
+            state: CoderState::new(),
+            refs: References::default(),
+            frame_bits: Vec::new(),
+            frame_psnr: Vec::new(),
+            recon: Vec::new(),
+            tasks: TaskTrace::default(),
+            bits_mark: 0,
+        }
+    }
+
+    /// Opens a frame: the setup preamble, then the lookahead span —
+    /// `admit` runs the frame's admission (or replays it) and returns
+    /// the padded source and quantizer — closed by the frame header, the
+    /// signalled quantizer. Returns the source and the frame's coder
+    /// configuration.
+    fn open_frame<P: Probe, S>(
+        &mut self,
+        probe: &mut P,
+        trace: &mut FrameTaskTrace,
+        admit: impl FnOnce(&mut P) -> (S, u8),
+    ) -> (S, CoderConfig) {
+        probe.set_kernel(Kernel::FrameSetup);
+        probe.alu(64);
+        let lookahead_mark = probe.retired();
+        let (src, qindex) = admit(probe);
+        self.enc.encode_literal(probe, qindex as u32, 8);
+        trace.lookahead = probe.retired() - lookahead_mark;
+        (src, self.ctx.frame_cfg(qindex))
+    }
+
+    /// Phase B and the frame-serial tail of frame `frame_no`: codes
+    /// every superblock against its plan, deblocks, accounts bits and
+    /// PSNR, pads the reconstruction and updates the references.
+    ///
+    /// Coding is a single serial chain over the frame raster: one range
+    /// coder defines the bitstream, and the reconstruction and adaptive
+    /// contexts follow it. With `publish`, each coded superblock row is
+    /// published into the pipeline slot's reference view (and its golden
+    /// snapshot), which is what unblocks the next frames' waiting units.
+    fn code_frame<P: Probe>(
+        &mut self,
+        probe: &mut P,
+        frame_no: usize,
+        (src, cfg): (&Frame, &CoderConfig),
+        plan: FramePlan,
+        mut trace: FrameTaskTrace,
+        publish: Option<(&PipelineHub, &FrameSlot)>,
+    ) -> Result<(), CodecError> {
+        let ctx = self.ctx;
+        let mut recon = Frame::new(ctx.pw, ctx.ph).map_err(CodecError::Video)?;
+        let refs = ctx.ref_list(frame_no, &self.refs);
+        let FramePlan { mut grid, units, .. } = plan;
+        let mut row_plan_cost = vec![0u64; ctx.sb_rows];
+        for u in &units {
+            row_plan_cost[u.row] += u.cost;
+        }
+        trace.plan_units = units;
+        let qstep = qindex_to_qstep(cfg.qindex);
+        for (row, plan_cost) in row_plan_cost.into_iter().enumerate() {
+            let code_mark = probe.retired();
+            for col in 0..ctx.sb_cols {
+                let plan = grid[row * ctx.sb_cols + col].take().expect("every superblock planned");
+                let (enc, state) = (&mut self.enc, &mut self.state);
+                let info = code_superblock(
+                    probe, ctx.tools, cfg, src, &refs, &plan, enc, state, &mut recon,
+                );
+                let rect = ctx.sb_rect(col, row);
+                code_sb_chroma(probe, cfg, src, &refs, rect, &info, enc, state, &mut recon);
+            }
+            trace.sb_rows.push(plan_cost + (probe.retired() - code_mark));
+            if let Some((hub, slot)) = publish {
+                let coded = (row + 1) * ctx.sb;
+                slot.view.publish(hub, recon.luma(), coded, qstep, slot.golden_view.as_ref());
+            }
+        }
+
+        // In-loop filtering (frame-serial stage).
+        let filter_mark = probe.retired();
+        deblock_frame(probe, &mut recon, qstep);
+        trace.filter = probe.retired() - filter_mark;
+        self.tasks.frames.push(trace);
+
+        let bits_now = self.enc.bits_written();
+        self.frame_bits.push(bits_now - self.bits_mark);
+        self.bits_mark = bits_now;
+        self.frame_psnr.push(region_psnr(&ctx.clip.frames()[frame_no], &recon, ctx.w, ctx.h));
+        self.recon.push(crop(&recon, ctx.w, ctx.h)?);
+        // The reconstruction is final: edge-pad it once so that
+        // clamped-MV reference reads in the next frames' motion search
+        // hit the contiguous interior path (probe addresses are
+        // unaffected — see `Plane::pad_borders`).
+        recon.luma_mut().pad_borders();
+        recon.cb_mut().pad_borders();
+        recon.cr_mut().pad_borders();
+        if let Some((_, slot)) = publish {
+            debug_assert_eq!(
+                slot.view.read().frame().luma(),
+                recon.luma(),
+                "published view must equal the deblocked reconstruction"
+            );
+        }
+        if frame_no.is_multiple_of(GOLDEN_INTERVAL) {
+            let mut golden = recon.clone();
+            if let Some(gv) = publish.and_then(|(_, slot)| slot.golden_view.as_ref()) {
+                // Phase A read the golden snapshot's pages; the Phase B
+                // clone must be the same buffer as far as the probes are
+                // concerned — exactly as both phases read the single
+                // clone under frame-serial execution.
+                golden.luma_mut().adopt_probe_identity(gv.read().frame().luma());
+            }
+            self.refs.golden = Some(golden);
+        }
+        self.refs.last = Some(recon);
+        Ok(())
+    }
+
+    /// Flushes the range coder and assembles the result.
+    fn finish(self) -> EncodeResult {
+        let payload = self.enc.finish();
+        let mut frame_bits = self.frame_bits;
+        // Attribute the flush tail + header to the last frame.
+        if let Some(last) = frame_bits.last_mut() {
+            *last += (payload.len() as u64 * 8).saturating_sub(self.bits_mark)
+                + SequenceHeader::BYTES as u64 * 8;
+        }
+        let mut bitstream = Vec::new();
+        self.ctx.header.write(&mut bitstream);
+        bitstream.extend_from_slice(&payload);
+        let clip = self.ctx.clip;
+        let total_bits: u64 = frame_bits.iter().sum();
+        EncodeResult {
+            bitstream,
+            frame_bits,
+            frame_psnr: self.frame_psnr,
+            recon: self.recon,
+            bitrate_kbps: vstress_video::metrics::bitrate_kbps(
+                total_bits,
+                clip.frames().len(),
+                clip.fps(),
+            ),
+            tasks: self.tasks,
+            bit_accounting: self.state.bits,
+        }
+    }
+}
+
+/// The frame-serial driver (one frame worker): admission and Phase A
+/// drive `probe` directly on this thread — the stream that *defines* the
+/// merge contract.
+fn encode_serial<P: Probe>(
+    ctx: &EncodeCtx,
+    probe: &mut P,
+    tile_workers: usize,
+) -> Result<EncodeResult, CodecError> {
+    let mut frames = FrameLoop::new(ctx);
+    let mut scratch = PlanScratch::new();
+    for (frame_no, src) in ctx.clip.frames().iter().enumerate() {
+        let mut trace = FrameTaskTrace::default();
+        let (padded, cfg) = frames.open_frame(probe, &mut trace, |p| ctx.admit(p, src));
+        let refs = ctx.ref_list(frame_no, &frames.refs);
+        let plan_ctx = PlanCtx { ctx, cfg: &cfg, src: &padded, refs: PlanRefs::Frames(&refs) };
+        let plan = plan_frame(probe, &plan_ctx, tile_workers, &mut scratch);
+        frames.code_frame(probe, frame_no, (&padded, &cfg), plan, trace, None)?;
+    }
+    Ok(frames.finish())
+}
+
+/// Where a plan unit reads its references from.
+#[derive(Clone, Copy)]
+enum PlanRefs<'a> {
+    /// Finished reconstructions (the frame-serial driver).
+    Frames(&'a [&'a Frame]),
+    /// The cross-frame pipeline's row-published snapshots of the last
+    /// and golden references.
+    Views(Option<&'a RefView>, Option<&'a RefView>),
+}
+
+/// What Phase A of one frame reads.
+struct PlanCtx<'a> {
+    ctx: &'a EncodeCtx<'a>,
+    cfg: &'a CoderConfig,
+    /// The padded source.
+    src: &'a Frame,
+    refs: PlanRefs<'a>,
+}
+
+/// Phase A's output for one frame: every superblock's plan
+/// (raster-indexed) and the per-unit costs in canonical order.
+struct FramePlan {
+    sb_cols: usize,
+    grid: Vec<Option<NodePlan>>,
+    units: Vec<PlanUnit>,
+}
+
+impl FramePlan {
+    fn new(ctx: &EncodeCtx) -> Self {
+        FramePlan {
+            sb_cols: ctx.sb_cols,
+            grid: (0..ctx.sb_cols * ctx.sb_rows).map(|_| None).collect(),
+            units: Vec::with_capacity(ctx.layout.chains.len()),
+        }
+    }
+
+    /// Files one planned unit with its measured cost.
+    fn file(&mut self, unit: &UnitSpan, cost: u64, plans: Vec<NodePlan>) {
+        self.units.push(PlanUnit { tile: unit.tile, row: unit.row, chunk: unit.chunk, cost });
+        for (col, plan) in unit.cols.clone().zip(plans) {
+            self.grid[unit.row * self.sb_cols + col] = Some(plan);
+        }
+    }
+
+    /// Replays one chain's recorded units into `probe`, in unit order.
+    /// A unit's cost is its retired-counter delta — a pure additive
+    /// function of the event stream — so it equals the cost the serial
+    /// path measures running the unit against `probe` directly.
+    fn merge_chain<P: Probe>(&mut self, probe: &mut P, chain: &PlanChain, units: Vec<UnitOut>) {
+        for (unit, out) in chain.units.iter().zip(units) {
+            let mark = probe.retired();
+            out.batch.replay(probe);
+            self.file(unit, probe.retired() - mark, out.plans);
+        }
+    }
+}
+
+/// One executed plan unit: its recorded events and superblock plans.
+struct UnitOut {
+    batch: EventBatch,
+    plans: Vec<NodePlan>,
+}
+
+/// Runs Phase A of one frame for the frame-serial driver: plans every
+/// superblock, unit by unit along the layout's chains.
+///
+/// With one tile worker (or a single chain) the units run in canonical
+/// order directly against `probe`. Otherwise each chain runs on a worker
+/// thread ([`plan_chain`]) and the recorded units are replayed into
+/// `probe` in canonical order, which reproduces the direct stream.
+fn plan_frame<P: Probe>(
+    probe: &mut P,
+    plan_ctx: &PlanCtx,
+    tile_workers: usize,
+    scratch: &mut PlanScratch,
+) -> FramePlan {
+    let chains = &plan_ctx.ctx.layout.chains;
+    let mut plan = FramePlan::new(plan_ctx.ctx);
+    if tile_workers <= 1 || chains.len() <= 1 {
+        for chain in chains {
+            let mut seed = MotionVector::ZERO;
+            for unit in &chain.units {
+                let mark = probe.retired();
+                let plans = plan_unit(probe, plan_ctx, unit, &mut seed, scratch);
+                plan.file(unit, probe.retired() - mark, plans);
+            }
+        }
+        return plan;
+    }
+    let live = probe.is_live();
+    let Ok(per_chain) = run_ordered::<_, Infallible, _>(chains.len(), tile_workers, |ci| {
+        let units = plan_chain(live, plan_ctx, &chains[ci], &mut PlanScratch::new(), |_| true);
+        Ok(units.expect("only a failed wait abandons a chain"))
+    });
+    for (chain, units) in chains.iter().zip(per_chain) {
+        plan.merge_chain(probe, chain, units);
+    }
+    plan
+}
+
+/// Plans one chain's units in order on a worker thread, each unit
+/// recorded into its own batch for canonical replay
+/// ([`FramePlan::merge_chain`]).
+///
+/// The recording probe is live, so the leaf memo stays bypassed exactly
+/// as under a live serial probe. When the encode's probe is dead
+/// (`!live`) nothing downstream observes events: the units plan under a
+/// dead probe (the leaf memo is exact, so the plans are identical) and
+/// record nothing, so their replayed costs are zero — the serial retired
+/// deltas under a dead probe.
+///
+/// `wait` runs before each unit (the pipeline blocks there on reference
+/// rows); returning `false` abandons the chain.
+fn plan_chain(
+    live: bool,
+    plan_ctx: &PlanCtx,
+    chain: &PlanChain,
+    scratch: &mut PlanScratch,
+    mut wait: impl FnMut(&UnitSpan) -> bool,
+) -> Option<Vec<UnitOut>> {
+    let mut seed = MotionVector::ZERO;
+    let mut out = Vec::with_capacity(chain.units.len());
+    for unit in &chain.units {
+        if !wait(unit) {
+            return None;
+        }
+        let (plans, batch) = if live {
+            let mut sink = NullProbe;
+            let mut rec = RecordingProbe::new(&mut sink);
+            (plan_unit(&mut rec, plan_ctx, unit, &mut seed, scratch), rec.into_batch())
+        } else {
+            (plan_unit(&mut NullProbe, plan_ctx, unit, &mut seed, scratch), EventBatch::new())
+        };
+        out.push(UnitOut { batch, plans });
+    }
+    Some(out)
+}
+
+/// Plans one unit's superblock span, threading the chain's MV seed.
+fn plan_unit<P: Probe>(
+    probe: &mut P,
+    plan_ctx: &PlanCtx,
+    unit: &UnitSpan,
+    seed: &mut MotionVector,
+    scratch: &mut PlanScratch,
+) -> Vec<NodePlan> {
+    let PlanCtx { ctx, cfg, src, refs } = *plan_ctx;
+    let tools = ctx.tools;
+    let mut plans = Vec::with_capacity(unit.cols.len());
+    for col in unit.cols.clone() {
+        let rect = ctx.sb_rect(col, unit.row);
+        let plan = match refs {
+            PlanRefs::Frames(refs) => {
+                plan_superblock(probe, tools, cfg, src, refs, rect, seed, scratch)
+            }
+            PlanRefs::Views(last, golden) => {
+                // A fresh short read guard per superblock, so the
+                // coordinator's row publishes interleave with planning
+                // instead of blocking behind whole units.
+                let lg = last.map(RefView::read);
+                let gg = golden.map(RefView::read);
+                let storage;
+                let refs: &[&Frame] = match (&lg, &gg) {
+                    (Some(l), Some(g)) => {
+                        storage = [l.frame(), g.frame()];
+                        &storage
+                    }
+                    (Some(l), None) => {
+                        // The second element is never read.
+                        storage = [l.frame(), l.frame()];
+                        &storage[..1]
+                    }
+                    _ => &[],
+                };
+                plan_superblock(probe, tools, cfg, src, refs, rect, seed, scratch)
+            }
+        };
+        plans.push(plan);
+    }
+    plans
+}
+
+/// The cross-frame pipeline (`frame_workers >= 2`) behind
+/// [`Encoder::encode_threaded`].
+///
+/// Execution splits into a task pool and a coordinator (this thread).
+/// Workers claim tasks — one admission (pad + rate control) and
+/// `layout.chains` plan-chain tasks per frame — strictly in frame-major
+/// order, windowed to `frame_workers` frames past the coordinator. Plan
+/// units wait on the row watermarks of the [`RefView`] snapshots of
+/// their references and record their events into private batches. The
+/// coordinator walks frames in order through the shared [`FrameLoop`]:
+/// replays the admission and unit batches canonically into `probe`, runs
+/// serial Phase B, and publishes each coded superblock row into the
+/// frame's view (with the deblock filter applied incrementally), which
+/// is what unblocks the next frames' waiting units.
+///
+/// Strict in-order claiming makes the schedule deadlock-free: a worker
+/// blocked on a watermark holds a task that precedes — in claim order —
+/// every task the coordinator can be waiting on, and its references are
+/// frames the coordinator has already published or is currently
+/// publishing.
+fn encode_pipelined<P: Probe>(
+    ctx: &EncodeCtx,
+    probe: &mut P,
+    tile_workers: usize,
+    frame_workers: usize,
+) -> Result<EncodeResult, CodecError> {
+    let n = ctx.clip.frames().len();
+    let live = probe.is_live();
+    let chains = &ctx.layout.chains;
+    // The golden reference frame `f` reads: the refresh preceding it.
+    let golden_slot = |f: usize| (f.saturating_sub(1) / GOLDEN_INTERVAL) * GOLDEN_INTERVAL;
+
+    let mut slots = Vec::with_capacity(n);
+    for f in 0..n {
+        let golden_view = if ctx.tools.ref_frames > 1 && f % GOLDEN_INTERVAL == 0 {
+            Some(RefView::new(ctx.pw, ctx.ph).map_err(CodecError::Video)?)
+        } else {
+            None
+        };
+        slots.push(FrameSlot {
+            admission: Mutex::new(None),
+            adm_ready: AtomicBool::new(false),
+            chains: Mutex::new((0..chains.len()).map(|_| None).collect()),
+            chains_done: AtomicUsize::new(0),
+            view: RefView::new(ctx.pw, ctx.ph).map_err(CodecError::Video)?,
+            golden_view,
+        });
+    }
+
+    // Flat frame-major task list; claims are strictly in this order.
+    let mut pipe_tasks = Vec::with_capacity(n * (1 + chains.len()));
+    for f in 0..n {
+        pipe_tasks.push(PipeTask { frame: f, chain: None });
+        for ci in 0..chains.len() {
+            pipe_tasks.push(PipeTask { frame: f, chain: Some(ci) });
+        }
+    }
+
+    let hub = PipelineHub::new();
+    let pool = frame_workers.max(tile_workers).min(pipe_tasks.len().max(1));
+
+    let run_admission = |slot: &FrameSlot, f: usize| {
+        let t0 = Instant::now();
+        let src = &ctx.clip.frames()[f];
+        let ((padded, qindex), rc) = if live {
+            let mut sink = NullProbe;
+            let mut rec = RecordingProbe::new(&mut sink);
+            (ctx.admit(&mut rec, src), rec.into_batch())
+        } else {
+            (ctx.admit(&mut NullProbe, src), EventBatch::new())
+        };
+        let out = AdmissionOut {
+            padded_src: Arc::new(padded),
+            qindex,
+            rc,
+            busy_ns: t0.elapsed().as_nanos() as u64,
+        };
+        *slot.admission.lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
+        slot.adm_ready.store(true, Ordering::Release);
+        hub.notify();
+    };
+
+    // Returns false when the pipeline was canceled mid-wait.
+    let run_chain = |slot: &FrameSlot, f: usize, ci: usize, scratch: &mut PlanScratch| {
+        if !hub.wait_until(|| slot.adm_ready.load(Ordering::Acquire)) {
+            return false;
+        }
+        let (padded, qindex) = {
+            let g = slot.admission.lock().unwrap_or_else(|e| e.into_inner());
+            let adm = g.as_ref().expect("admission stored before adm_ready");
+            (Arc::clone(&adm.padded_src), adm.qindex)
+        };
+        let cfg = ctx.frame_cfg(qindex);
+        let keyframe = ctx.is_key(f);
+        let last = (!keyframe).then(|| &slots[f - 1].view);
+        let golden = (!keyframe && ctx.tools.ref_frames > 1).then(|| {
+            slots[golden_slot(f)].golden_view.as_ref().expect("refresh slots carry a golden view")
+        });
+        let plan_ctx =
+            PlanCtx { ctx, cfg: &cfg, src: &padded, refs: PlanRefs::Views(last, golden) };
+        let t_total = Instant::now();
+        let mut stall_ns = 0u64;
+        let units = plan_chain(live, &plan_ctx, &chains[ci], scratch, |unit| {
+            let need = watermark_need(unit.row, ctx.sb, ctx.tools.me.range, ctx.ph);
+            let t0 = Instant::now();
+            let ready = last.into_iter().chain(golden).all(|v| v.wait_rows(&hub, need));
+            stall_ns += t0.elapsed().as_nanos() as u64;
+            ready
+        });
+        let Some(units) = units else {
+            return false;
+        };
+        let busy_ns = (t_total.elapsed().as_nanos() as u64).saturating_sub(stall_ns);
+        slot.chains.lock().unwrap_or_else(|e| e.into_inner())[ci] =
+            Some(ChainOut { units, stall_ns, busy_ns });
+        slot.chains_done.fetch_add(1, Ordering::Release);
+        hub.notify();
+        true
+    };
+
+    let worker_loop = || {
+        // A panicking worker must not leave the coordinator (or other
+        // workers) blocked on a watermark forever.
+        let _guard = CancelOnPanic(&hub);
+        let mut scratch = PlanScratch::new();
+        while let Some(ti) = hub.claim(pipe_tasks.len(), frame_workers, |i| pipe_tasks[i].frame) {
+            let task = pipe_tasks[ti];
+            match task.chain {
+                None => run_admission(&slots[task.frame], task.frame),
+                Some(ci) => {
+                    if !run_chain(&slots[task.frame], task.frame, ci, &mut scratch) {
+                        break;
+                    }
+                }
+            }
+        }
+    };
+
+    std::thread::scope(|s| {
+        for _ in 0..pool {
+            s.spawn(worker_loop);
+        }
+        // Any coordinator exit — success, error, panic — must release
+        // workers still blocked in the claim window.
+        let _cancel = CancelOnDrop(&hub);
+
+        let mut frames = FrameLoop::new(ctx);
+        for (frame_no, slot) in slots.iter().enumerate() {
+            hub.advance(frame_no);
+            let mut trace = FrameTaskTrace::default();
+            if !hub.wait_until(|| slot.adm_ready.load(Ordering::Acquire)) {
+                return Err(pipeline_canceled());
+            }
+            let (padded, cfg) = {
+                let g = slot.admission.lock().unwrap_or_else(|e| e.into_inner());
+                let adm = g.as_ref().expect("admission stored before adm_ready");
+                trace.pipeline.busy_ns += adm.busy_ns;
+                // The replayed rate-control pass fills the lookahead
+                // span exactly as the serial admission does.
+                frames.open_frame(probe, &mut trace, |p| {
+                    adm.rc.replay(p);
+                    (Arc::clone(&adm.padded_src), adm.qindex)
+                })
+            };
+
+            if !hub.wait_until(|| slot.chains_done.load(Ordering::Acquire) == chains.len()) {
+                return Err(pipeline_canceled());
+            }
+            let chain_outs =
+                std::mem::take(&mut *slot.chains.lock().unwrap_or_else(|e| e.into_inner()));
+            let mut plan = FramePlan::new(ctx);
+            for (chain, out) in chains.iter().zip(chain_outs) {
+                let out = out.expect("chain stored before chains_done");
+                trace.pipeline.stall_ns += out.stall_ns;
+                trace.pipeline.busy_ns += out.busy_ns;
+                plan.merge_chain(probe, chain, out.units);
+            }
+
+            // Publish only views someone will read: the next frame
+            // (unless it is intra-only) or the golden snapshot this
+            // refresh frame feeds.
+            let publish =
+                slot.golden_view.is_some() || (frame_no + 1 < n && !ctx.is_key(frame_no + 1));
+            let publish = publish.then_some((&hub, slot));
+            frames.code_frame(probe, frame_no, (&padded, &cfg), plan, trace, publish)?;
+        }
+        Ok(frames.finish())
+    })
 }
 
 /// One scheduled pipeline task: a frame's admission (`chain: None`) or
@@ -863,22 +893,13 @@ struct PipeTask {
 }
 
 /// Frame admission, produced on a pipeline worker: the padded source,
-/// the chosen quantizer, and the recorded preamble events the
+/// the chosen quantizer, and the recorded rate-control events the
 /// coordinator replays in canonical position.
 struct AdmissionOut {
     padded_src: Arc<Frame>,
     qindex: u8,
-    /// Frame-setup events (before the lookahead mark).
-    setup: EventBatch,
-    /// Rate-control pass events (inside the lookahead span).
     rc: EventBatch,
     busy_ns: u64,
-}
-
-/// One executed plan unit: its recorded events and superblock plans.
-struct UnitOut {
-    batch: EventBatch,
-    plans: Vec<NodePlan>,
 }
 
 /// One completed plan chain, plus its wall-clock split.
@@ -906,202 +927,6 @@ struct FrameSlot {
 /// joins, superseding this error).
 fn pipeline_canceled() -> CodecError {
     CodecError::UnsupportedInput { reason: "frame pipeline canceled".to_owned() }
-}
-
-/// Plans one unit's superblock span against the reference *views*,
-/// taking a fresh short read guard per superblock so the coordinator's
-/// row publishes interleave with planning instead of blocking behind
-/// whole units.
-#[allow(clippy::too_many_arguments)]
-fn plan_unit_cols<P: Probe>(
-    probe: &mut P,
-    tools: &ToolSet,
-    cfg: &CoderConfig,
-    src: &Frame,
-    last_view: Option<&RefView>,
-    gold_view: Option<&RefView>,
-    unit: &UnitSpan,
-    (sb, pw, ph): (usize, usize, usize),
-    seed: &mut MotionVector,
-    scratch: &mut PlanScratch,
-    plans: &mut Vec<NodePlan>,
-) {
-    for col in unit.cols.clone() {
-        let sx = col * sb;
-        let sy = unit.row * sb;
-        let rect = crate::blocks::BlockRect::new(sx, sy, sb.min(pw - sx), sb.min(ph - sy));
-        let lg = last_view.map(|v| v.read());
-        let gg = gold_view.map(|v| v.read());
-        let lf = lg.as_ref().map(|g| g.frame());
-        let gf = gg.as_ref().map(|g| g.frame());
-        let storage;
-        let refs: &[&Frame] = match (lf, gf) {
-            (Some(l), Some(g)) => {
-                storage = [l, g];
-                &storage
-            }
-            (Some(l), None) => {
-                // The second element is never read.
-                storage = [l, l];
-                &storage[..1]
-            }
-            _ => &[],
-        };
-        plans.push(plan_superblock(probe, tools, cfg, src, refs, rect, seed, scratch));
-    }
-}
-
-/// Runs Phase A for one frame: plans every superblock, unit by unit
-/// along the layout's chains, and returns the plans (raster-indexed)
-/// plus the measured per-unit costs in canonical order.
-///
-/// Serial execution (one worker, or a single chain) runs the units in
-/// canonical order directly against `probe` — the stream that *defines*
-/// the merge contract. Parallel execution records each unit into a
-/// private [`EventBatch`](vstress_trace::EventBatch) on its worker (a
-/// live thread-local probe, so the leaf memo stays bypassed exactly as
-/// under a live serial probe) and replays the batches into `probe` in
-/// canonical order. Unit costs are retired-counter deltas — a pure
-/// additive function of the event stream — so both paths measure
-/// identical values.
-#[allow(clippy::too_many_arguments)]
-fn plan_frame<P: Probe>(
-    probe: &mut P,
-    tools: &ToolSet,
-    cfg: &CoderConfig,
-    src: &Frame,
-    refs: &[&Frame],
-    layout: &PlanLayout,
-    (sb_cols, sb_rows): (usize, usize),
-    tile_workers: usize,
-    scratch: &mut PlanScratch,
-) -> Result<(Vec<Option<NodePlan>>, Vec<PlanUnit>), CodecError> {
-    let sb = tools.superblock;
-    let (pw, ph) = (src.width(), src.height());
-    let rect_of = |col: usize, row: usize| {
-        crate::blocks::BlockRect::new(
-            col * sb,
-            row * sb,
-            sb.min(pw - col * sb),
-            sb.min(ph - row * sb),
-        )
-    };
-    let mut grid: Vec<Option<NodePlan>> = (0..sb_cols * sb_rows).map(|_| None).collect();
-    let mut units: Vec<PlanUnit> = Vec::with_capacity(layout.chains.len());
-
-    if tile_workers <= 1 || layout.chains.len() <= 1 {
-        for chain in &layout.chains {
-            let mut seed = MotionVector::ZERO;
-            for unit in &chain.units {
-                let mark = probe.retired();
-                for col in unit.cols.clone() {
-                    let plan = plan_superblock(
-                        probe,
-                        tools,
-                        cfg,
-                        src,
-                        refs,
-                        rect_of(col, unit.row),
-                        &mut seed,
-                        scratch,
-                    );
-                    grid[unit.row * sb_cols + col] = Some(plan);
-                }
-                units.push(PlanUnit {
-                    tile: unit.tile,
-                    row: unit.row,
-                    chunk: unit.chunk,
-                    cost: probe.retired() - mark,
-                });
-            }
-        }
-        return Ok((grid, units));
-    }
-
-    let workers = tile_workers.min(layout.chains.len());
-    if probe.is_live() {
-        // Record every unit on its worker, then merge canonically.
-        let per_chain = run_ordered(layout.chains.len(), workers, |ci| {
-            let chain = &layout.chains[ci];
-            let mut local = CountingProbe::new();
-            let mut scratch = PlanScratch::new();
-            let mut seed = MotionVector::ZERO;
-            let mut out = Vec::with_capacity(chain.units.len());
-            for unit in &chain.units {
-                let mut rec = RecordingProbe::new(&mut local);
-                let mut plans = Vec::with_capacity(unit.cols.len());
-                for col in unit.cols.clone() {
-                    plans.push(plan_superblock(
-                        &mut rec,
-                        tools,
-                        cfg,
-                        src,
-                        refs,
-                        rect_of(col, unit.row),
-                        &mut seed,
-                        &mut scratch,
-                    ));
-                }
-                out.push((rec.into_batch(), plans));
-            }
-            Ok::<_, CodecError>(out)
-        })?;
-        for (chain, chain_out) in layout.chains.iter().zip(per_chain) {
-            for (unit, (batch, plans)) in chain.units.iter().zip(chain_out) {
-                let mark = probe.retired();
-                batch.replay(probe);
-                units.push(PlanUnit {
-                    tile: unit.tile,
-                    row: unit.row,
-                    chunk: unit.chunk,
-                    cost: probe.retired() - mark,
-                });
-                for (col, plan) in unit.cols.clone().zip(plans) {
-                    grid[unit.row * sb_cols + col] = Some(plan);
-                }
-            }
-        }
-    } else {
-        // Dead probe: nothing downstream observes events, so skip the
-        // recording entirely — each worker plans under its own dead
-        // probe (the leaf memo is active on both the serial path and
-        // this one, and memoization is exact, so the plans are identical
-        // either way) and unit costs stay zero, matching the serial
-        // retired deltas under a dead probe.
-        let per_chain = run_ordered(layout.chains.len(), workers, |ci| {
-            let chain = &layout.chains[ci];
-            let mut null = NullProbe;
-            let mut scratch = PlanScratch::new();
-            let mut seed = MotionVector::ZERO;
-            let mut out = Vec::with_capacity(chain.units.len());
-            for unit in &chain.units {
-                let mut plans = Vec::with_capacity(unit.cols.len());
-                for col in unit.cols.clone() {
-                    plans.push(plan_superblock(
-                        &mut null,
-                        tools,
-                        cfg,
-                        src,
-                        refs,
-                        rect_of(col, unit.row),
-                        &mut seed,
-                        &mut scratch,
-                    ));
-                }
-                out.push(plans);
-            }
-            Ok::<_, CodecError>(out)
-        })?;
-        for (chain, chain_out) in layout.chains.iter().zip(per_chain) {
-            for (unit, plans) in chain.units.iter().zip(chain_out) {
-                units.push(PlanUnit { tile: unit.tile, row: unit.row, chunk: unit.chunk, cost: 0 });
-                for (col, plan) in unit.cols.clone().zip(plans) {
-                    grid[unit.row * sb_cols + col] = Some(plan);
-                }
-            }
-        }
-    }
-    Ok((grid, units))
 }
 
 /// Frames between golden-reference refreshes.

@@ -390,7 +390,7 @@ struct LeafMemoEntry {
 }
 
 /// When the partition search may serve a leaf evaluation from the memo
-/// instead of recomputing it (see [`eval_leaf_memo`] for the fidelity
+/// instead of recomputing it (see `eval_leaf_memo` for the fidelity
 /// argument and DESIGN.md "Performance" for the measurements behind the
 /// default).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -514,6 +514,22 @@ pub struct HmeSeeds {
     blocks_x: usize,
 }
 
+// Branch-site PCs of the partition search and leaf mode decision.
+//
+// These are the `site_pc!()` hashes (file/line/column) the sites had
+// when they landed, pinned so that refactors that move source lines
+// cannot silently re-index every simulated predictor table: the
+// characterization outputs are a function of these values.
+
+/// [`plan_block`]'s shape-sweep loop branch.
+const SHAPE_SWEEP_BRANCH_PC: u64 = 0x5487_30af_fb30;
+/// [`plan_block`]'s early-exit branch.
+const EARLY_EXIT_BRANCH_PC: u64 = 0x5b2d_30af_fb30;
+/// [`eval_leaf`]'s inter-skip shortcut branch.
+const INTER_SKIP_BRANCH_PC: u64 = 0x5777_30af_fb30;
+/// [`eval_leaf`]'s intra-sweep "cost improved" branch.
+const INTRA_IMPROVED_BRANCH_PC: u64 = 0x5909_30af_fb30;
+
 /// HME granularity in luma samples.
 const HME_BLOCK: usize = 16;
 
@@ -625,7 +641,7 @@ fn plan_block<P: Probe>(
     let exit_threshold = tools.early_exit_scale * rect.area() as u64 * qstep * qstep / 4096;
 
     for (i, &shape) in cfg.shapes.iter().enumerate() {
-        probe.branch(vstress_trace::site_pc!(), i != 0);
+        probe.branch(SHAPE_SWEEP_BRANCH_PC, i != 0);
         let candidate = match shape {
             PartitionShape::None => {
                 let (mode, cost) = eval_leaf_memo(
@@ -691,7 +707,7 @@ fn plan_block<P: Probe>(
         // Early exit once a cheap-enough plan exists (the CRF-dependent
         // pruning real encoders use: coarse quantizers exit sooner).
         let exit = decision.best_cost() < exit_threshold;
-        probe.branch(vstress_trace::site_pc!(), exit);
+        probe.branch(EARLY_EXIT_BRANCH_PC, exit);
         if exit {
             break;
         }
@@ -833,7 +849,7 @@ fn eval_leaf<P: Probe>(
         let skip_threshold = rect.area() as u64 * qstep / 24;
         let skip = me.cost < skip_threshold;
         probe.set_kernel(Kernel::ModeDecision);
-        probe.branch(vstress_trace::site_pc!(), skip);
+        probe.branch(INTER_SKIP_BRANCH_PC, skip);
         if skip {
             *seed_mv = me.mv;
             // Cost model: residual quantizes to ~zero, signalling tiny.
@@ -863,7 +879,7 @@ fn eval_leaf<P: Probe>(
         let rate = (2 + mi as u64) * 256;
         let cost = satd + sqrt_lambda * rate / 256;
         let improved = best.offer(LeafMode::Intra(mode), cost);
-        probe.branch(vstress_trace::site_pc!(), improved);
+        probe.branch(INTRA_IMPROVED_BRANCH_PC, improved);
     }
 
     let (mode, _satd_cost) = best.winner().expect("intra sweep is never empty");

@@ -1,14 +1,15 @@
 //! Cross-frame pipeline scheduling: reference-row watermarks, snapshot
 //! reference views, and the shared claim/notify hub.
 //!
-//! The pipelined encoder ([`Encoder::encode_threaded`]
-//! (crate::encoder::Encoder::encode_threaded)) overlaps frame `N+1`'s
-//! Phase A (lookahead, motion search, RDO) with frame `N`'s Phase B
-//! (serial range coding). Phase A of frame `N+1` reads frame `N`'s
-//! reconstruction — which Phase B is still writing — so each reference
-//! is published through a [`RefView`]: a snapshot buffer the coordinator
-//! copies finalized reconstruction rows into, guarded by a row-granular
-//! watermark that plan workers wait on before reading their band.
+//! The pipelined encoder
+//! ([`Encoder::encode_threaded`](crate::encoder::Encoder::encode_threaded))
+//! overlaps frame `N+1`'s Phase A (lookahead, motion search, RDO) with
+//! frame `N`'s Phase B (serial range coding). Phase A of frame `N+1`
+//! reads frame `N`'s reconstruction — which Phase B is still writing —
+//! so each reference is published through a [`RefView`]: a snapshot
+//! buffer the coordinator copies finalized reconstruction rows into,
+//! guarded by a row-granular watermark that plan workers wait on before
+//! reading their band.
 //!
 //! Three invariants make the overlap invisible to every output:
 //!
@@ -17,8 +18,8 @@
 //!    filter can no longer change it. The canonical
 //!    [`deblock_plane`](crate::deblock::deblock_plane) runs once over
 //!    the finished reconstruction (emitting its probe events exactly as
-//!    the serial encoder does); the view applies the identical filter
-//!    arithmetic incrementally and silently as rows arrive, so a
+//!    the serial encoder does); the view applies the same per-edge
+//!    filter incrementally, under a dead probe, as rows arrive, so a
 //!    published row already carries its final filtered value. The
 //!    `silent_deblock_matches_batch` test pins the two pixel-for-pixel.
 //! 2. **The snapshot is the reference, as far as probes can tell.** The
@@ -42,18 +43,16 @@
 //! (claims, watermark waits, row publishes) performs no heap
 //! allocation; `tests/alloc_regression.rs` pins that.
 
+use crate::deblock::{self, filter_pair, LUMA_GRID};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard};
+use vstress_trace::NullProbe;
 use vstress_video::{Frame, Plane, VideoError};
 
 /// Extra reference rows a plan unit waits for beyond its own band plus
 /// the motion-search range: covers subpel refinement (±1 half-pel) and
 /// the bilinear MC tap (+1) with slack.
 pub const REF_ROW_MARGIN: usize = 16;
-
-/// Deblock lattice pitch of the luma plane (the `grid` the encoder
-/// passes to [`deblock_plane`](crate::deblock::deblock_plane) for luma).
-const DEBLOCK_GRID: usize = 8;
 
 /// Reference rows (exclusive) a plan unit for superblock row `unit_row`
 /// must see published before its motion search may run: the bottom of
@@ -63,35 +62,6 @@ pub fn watermark_need(unit_row: usize, sb: usize, range: i32, ph: usize) -> usiz
     let bottom = (unit_row + 1) * sb;
     let reach = bottom + range.max(0) as usize + REF_ROW_MARGIN;
     reach.min(ph)
-}
-
-/// The deblock filter strength for a frame quantization step — must
-/// match [`deblock_plane`](crate::deblock::deblock_plane).
-fn deblock_strength(qstep: i32) -> i32 {
-    (qstep / 8).clamp(1, 48)
-}
-
-/// The 2-sample low-pass across one block edge, byte-identical to
-/// `deblock::filter_pair` but without the probe: the view applies the
-/// filter *silently* as rows are published, while the canonical
-/// `deblock_plane` over the finished reconstruction emits the events.
-#[inline]
-fn silent_filter_pair(
-    plane: &mut Plane,
-    ax: usize,
-    ay: usize,
-    bx: usize,
-    by: usize,
-    strength: i32,
-) {
-    let a = plane.get(ax, ay) as i32;
-    let b = plane.get(bx, by) as i32;
-    let step = b - a;
-    if step.abs() < 2 * strength && step != 0 {
-        let delta = step / 4;
-        plane.set(ax, ay, (a + delta).clamp(0, 255) as u8);
-        plane.set(bx, by, (b - delta).clamp(0, 255) as u8);
-    }
 }
 
 /// The shared scheduling hub of one pipelined encode: a single
@@ -330,7 +300,7 @@ impl RefView {
         qstep: i32,
         golden: Option<&RefView>,
     ) {
-        let strength = deblock_strength(qstep);
+        let strength = deblock::strength(qstep);
         let ph = recon_luma.height();
         let w = recon_luma.width();
         let finalized = {
@@ -345,15 +315,15 @@ impl RefView {
                 // Vertical edges are row-local and mutually disjoint
                 // (grid >= 2): filtering them per row in any order gives
                 // the batch pass's result.
-                let mut x = DEBLOCK_GRID;
+                let mut x = LUMA_GRID;
                 while x < w {
-                    silent_filter_pair(luma, x - 1, y, x, y, strength);
-                    x += DEBLOCK_GRID;
+                    filter_pair(&mut NullProbe, luma, (x - 1, y), (x, y), strength);
+                    x += LUMA_GRID;
                 }
             }
             b.copied = b.copied.max(coded);
             if b.next_boundary == 0 {
-                b.next_boundary = DEBLOCK_GRID;
+                b.next_boundary = LUMA_GRID;
             }
             // A horizontal boundary at y touches rows y-1 and y, both
             // already vertical-filtered; boundaries are row-disjoint, so
@@ -363,9 +333,9 @@ impl RefView {
                 let y = b.next_boundary;
                 let luma = b.frame.luma_mut();
                 for x in 0..w {
-                    silent_filter_pair(luma, x, y - 1, x, y, strength);
+                    filter_pair(&mut NullProbe, luma, (x, y - 1), (x, y), strength);
                 }
-                b.next_boundary += DEBLOCK_GRID;
+                b.next_boundary += LUMA_GRID;
             }
             if b.copied >= ph {
                 b.frame.luma_mut().pad_borders();
@@ -407,7 +377,6 @@ impl RefView {
 mod tests {
     use super::*;
     use crate::deblock::deblock_plane;
-    use vstress_trace::NullProbe;
 
     struct Lcg(u64);
     impl Lcg {
@@ -450,7 +419,7 @@ mod tests {
             for qstep in [8i32, 40, 64, 384] {
                 let src = random_plane(w, h, seed ^ qstep as u64);
                 let mut reference = src.clone();
-                deblock_plane(&mut NullProbe, &mut reference, DEBLOCK_GRID, qstep);
+                deblock_plane(&mut NullProbe, &mut reference, LUMA_GRID, qstep);
 
                 for step in [1usize, 3, 8, 32, h] {
                     let hub = PipelineHub::new();
@@ -494,7 +463,7 @@ mod tests {
         // plane on those rows — published rows never change again.
         let src = random_plane(48, 40, 5);
         let mut reference = src.clone();
-        deblock_plane(&mut NullProbe, &mut reference, DEBLOCK_GRID, 64);
+        deblock_plane(&mut NullProbe, &mut reference, LUMA_GRID, 64);
         let hub = PipelineHub::new();
         let view = RefView::new(48, 40).unwrap();
         let mut coded = 0;
@@ -513,7 +482,7 @@ mod tests {
     fn golden_view_tracks_in_lockstep() {
         let src = random_plane(64, 48, 6);
         let mut reference = src.clone();
-        deblock_plane(&mut NullProbe, &mut reference, DEBLOCK_GRID, 48);
+        deblock_plane(&mut NullProbe, &mut reference, LUMA_GRID, 48);
         let hub = PipelineHub::new();
         let view = RefView::new(64, 48).unwrap();
         let golden = RefView::new(64, 48).unwrap();

@@ -14,7 +14,7 @@
 //! always per-row bookkeeping around the arithmetic, and the event pass
 //! replays them in the same order with the same operands. The branch
 //! PCs are pinned constants (not `site_pc!()`) so the probe stream
-//! survives source-layout changes; see [`SAD_PLANE_PRED_BRANCH_PC`].
+//! survives source-layout changes; see `SAD_PLANE_PRED_BRANCH_PC`.
 //!
 //! Equivalence with the scalar pre-rewrite kernels — value *and* probe
 //! stream — is property-tested in `tests/kernel_equivalence.rs`.

@@ -10,13 +10,14 @@
 //! perform **zero** heap allocations.
 //!
 //! The counter wraps the system allocator for this whole test binary,
-//! which is why the tests live in their own integration-test file; a
-//! shared lock keeps the measurement windows from overlapping when the
-//! harness runs tests on parallel threads.
+//! which is why the tests live in their own integration-test file. It
+//! counts per thread: every measured window runs on the test's own
+//! thread, and the harness's other threads (parallel tests, result
+//! reporting) allocate at arbitrary times, so a process-wide count
+//! would charge their allocations to whichever window was open.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use vstress_codecs::blocks::BlockRect;
 use vstress_codecs::mc::MotionVector;
@@ -26,11 +27,18 @@ use vstress_video::Plane;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations (including reallocations) made so far on this thread.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -39,18 +47,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Serializes the tests: each one measures a window of the shared
-/// counter, so another test's warm-up allocations must not land inside
-/// it.
-static SERIAL: Mutex<()> = Mutex::new(());
 
 fn textured_plane(seed: u64) -> Plane {
     let mut p = Plane::new(128, 128, 0).unwrap();
@@ -66,7 +69,6 @@ fn textured_plane(seed: u64) -> Plane {
 
 #[test]
 fn motion_search_is_allocation_free_after_warmup() {
-    let _serial = SERIAL.lock().unwrap();
     let cur = textured_plane(1);
     let refp = textured_plane(2);
     let settings = MeSettings { range: 24, exhaustive_radius: 4, refine_steps: 12, subpel: true };
@@ -92,7 +94,7 @@ fn motion_search_is_allocation_free_after_warmup() {
         &mut scratch,
     );
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for &rect in &rects {
         let r = motion_search(
             &mut probe,
@@ -116,7 +118,7 @@ fn motion_search_is_allocation_free_after_warmup() {
             &mut scratch,
         );
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(after - before, 0, "motion search allocated {} times after warm-up", after - before);
 }
 
@@ -133,8 +135,6 @@ fn simulation_event_path_is_allocation_free_in_steady_state() {
     use vstress_cache::{Hierarchy, HierarchyConfig};
     use vstress_pipeline::CoreModel;
     use vstress_trace::{Kernel, Probe, ProbeEvent};
-
-    let _serial = SERIAL.lock().unwrap();
 
     // A mixed stream shaped like real encoder output: kernel switches,
     // compute bursts, strided loads sweeping far past L2 (demand misses
@@ -181,10 +181,10 @@ fn simulation_event_path_is_allocation_free_in_steady_state() {
     model.drain_batch(&events);
     drive_hierarchy(&mut hier);
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     model.drain_batch(&events);
     drive_hierarchy(&mut hier);
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,
@@ -206,8 +206,6 @@ fn simulation_event_path_is_allocation_free_in_steady_state() {
 fn frame_pipeline_scheduler_is_allocation_free_in_steady_state() {
     use vstress_codecs::frame_pipeline::{PipelineHub, RefView};
     use vstress_video::Frame;
-
-    let _serial = SERIAL.lock().unwrap();
 
     let (pw, ph) = (64usize, 64usize);
     let hub = PipelineHub::new();
@@ -233,7 +231,7 @@ fn frame_pipeline_scheduler_is_allocation_free_in_steady_state() {
     let depth = 2usize;
     let frame_of = |i: usize| i / 3;
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
 
     // Claims stay inside the window the coordinator advances, so the
     // single-threaded drain below never parks on the condvar.
@@ -262,7 +260,7 @@ fn frame_pipeline_scheduler_is_allocation_free_in_steady_state() {
     }
     hub.notify();
 
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,

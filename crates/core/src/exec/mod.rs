@@ -4,7 +4,7 @@
 //! [`RunSpec`]s, so the whole reproduction is an embarrassingly
 //! parallel batch — the same structure the paper's datacenter framing
 //! assumes. [`run_all`] fans specs out over the
-//! [`run_ordered`](vstress_codecs::batch::run_ordered) work queue, and
+//! [`run_ordered`] work queue, and
 //! [`RunCache`] memoizes five layers of shared work:
 //!
 //! * **captures** — [`CapturedEncode`]s: the canonical probe event

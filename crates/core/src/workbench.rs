@@ -27,7 +27,8 @@ pub struct RunSpec {
     /// `false`, only the instruction mix is gathered — roughly 3x faster.
     pub model_pipeline: bool,
     /// Worker threads for the intra-encode tile/wavefront decomposition
-    /// (`Encoder::encode_with`). The result is worker-count invariant —
+    /// of Phase A (`Encoder::encode_threaded`, which runs one frame loop
+    /// at any worker count). The result is worker-count invariant —
     /// bitstream, measurements, and probe stream are byte-identical at
     /// any value — so this field is deliberately **excluded** from the
     /// run cache key and the store key.

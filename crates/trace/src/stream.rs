@@ -764,7 +764,7 @@ impl serde::Serialize for EventStream {
 }
 
 /// Loads a stream and validates every chunk once (see
-/// [`validate_chunk`]): a malformed chunk, or chunks whose events do not
+/// `validate_chunk`): a malformed chunk, or chunks whose events do not
 /// add up to the recorded count, is a deserialization error, so the
 /// store quarantines the entry instead of a replay panicking later.
 impl<'de> serde::Deserialize<'de> for EventStream {

@@ -1,15 +1,20 @@
-//! The probe-merge contract across the *frame* dimension: overlapping
-//! frame `N+1`'s Phase A planning with frame `N`'s Phase B coding must
-//! change nothing observable — not the bitstream, not the
-//! reconstruction, not the task trace, and not a single probe event
-//! (branch PCs included) in the canonically merged stream — at any
-//! `{frame_workers, tile_workers}` combination.
+//! The probe-merge contract, adversarially: splitting an encode across
+//! tile/wavefront workers, or overlapping frame `N+1`'s Phase A planning
+//! with frame `N`'s Phase B coding, must change nothing observable — not
+//! the bitstream, not the reconstruction, not the task trace, and not a
+//! single probe event (branch PCs included) in the canonically merged
+//! stream — at any `{tile_workers, frame_workers}` combination. The
+//! reference side is always the encode at one tile and one frame worker,
+//! which drives the probe directly.
 //!
 //! The schedules are chosen to be awkward on purpose: ragged frame
 //! geometries (partial border superblocks whose motion candidates get
-//! clamped), clips that cross the golden-refresh boundary mid-pipeline,
-//! keyframe intervals that cut reference chains (including every-frame
-//! intra), and clips shorter than the pipeline depth.
+//! clamped, straddling tile/row boundaries), enough rows and columns to
+//! give every codec's decomposition — SVT segments, x26x wavefront
+//! chunks, libaom/vp9 tile groups — more than one chain to race, clips
+//! that cross the golden-refresh boundary mid-pipeline, keyframe
+//! intervals that cut reference chains (including every-frame intra),
+//! and clips shorter than the pipeline depth.
 
 use std::collections::HashMap;
 use vstress::codecs::{CodecId, EncoderParams};
@@ -19,7 +24,9 @@ use vstress_video::synth::{SceneClass, SynthParams};
 use vstress_video::Clip;
 
 /// Canonicalizes data addresses by first-touch page renaming — the same
-/// remap the pipeline model applies. Pipelined encodes allocate planes
+/// remap the pipeline model applies. The synthetic allocator
+/// (`probe_addr::alloc`) hands every plane a fresh page base from a
+/// process-global counter, and pipelined encodes allocate planes
 /// concurrently, so two runs differ in page *bases* while agreeing on
 /// page structure and sub-page offsets; after renaming, equal streams
 /// mean equal memory behaviour. Branch PCs and every non-memory event
@@ -61,6 +68,8 @@ impl Lcg {
 /// Synthesizes a clip whose luma dimensions are even but deliberately
 /// *not* superblock multiples, so border superblocks are partial.
 fn awkward_clip(rng: &mut Lcg, frames: usize) -> Clip {
+    // Widths/heights cover 2–4 superblock columns/rows at size 32 (and
+    // more at 16), always with a ragged border on at least one axis.
     let width = rng.pick(&[70, 82, 98, 110]);
     let height = rng.pick(&[38, 46, 58, 66]);
     let class = rng.pick(&[SceneClass::Game, SceneClass::Action, SceneClass::Screen]);
@@ -76,9 +85,9 @@ fn awkward_clip(rng: &mut Lcg, frames: usize) -> Clip {
     params.synthesize("awkward").expect("even dimensions synthesize")
 }
 
-/// One fully recorded encode through the cross-frame pipeline: every
-/// probe event in merge order, plus the complete encode result.
-/// `frame_workers == 1` is the serial (tile-only) path.
+/// One fully recorded encode: every probe event in merge order, plus
+/// the complete encode result. `frame_workers == 1` is the frame-serial
+/// path, which drives the probe directly at one tile worker.
 fn recorded_encode(
     codec: CodecId,
     params: EncoderParams,
@@ -114,6 +123,74 @@ fn assert_equivalent(
     assert_eq!(out.tasks, serial_out.tasks, "{ctx}: task trace");
     assert_eq!(out.frame_bits, serial_out.frame_bits, "{ctx}: frame bits");
     assert_eq!(out.frame_psnr, serial_out.frame_psnr, "{ctx}: frame psnr");
+}
+
+#[test]
+fn tile_merge_is_byte_identical_to_the_serial_stream() {
+    let mut rng = Lcg(0x5eed_1e57);
+    // Each codec exercises a different decomposition shape; VP9 shares
+    // libaom's tile builder, so the aom case covers both.
+    for codec in [CodecId::SvtAv1, CodecId::X264, CodecId::X265, CodecId::Libaom] {
+        let clip = awkward_clip(&mut rng, 2);
+        let params = EncoderParams::new(rng.pick(&[25, 40]), rng.pick(&[5, 7]));
+        let (serial_events, serial_out, serial_retired) =
+            recorded_encode(codec, params, &clip, 1, 1);
+        assert!(!serial_events.is_empty(), "{codec:?}: serial encode must record events");
+        let serial = (canonicalize(&serial_events), serial_out, serial_retired);
+        for workers in [2usize, 4] {
+            // The merged stream — ops, addresses (up to first-touch page
+            // renaming), branch PCs, taken bits, kernel switches — must
+            // match event for event.
+            let got = recorded_encode(codec, params, &clip, workers, 1);
+            assert_equivalent(&format!("{codec:?} @ {workers} tile workers"), &serial, got);
+        }
+    }
+}
+
+#[test]
+fn captured_stream_is_tile_worker_invariant() {
+    // The capture-once layer's licence to drop `tile_workers` from its
+    // cache key: a recorded capture — the packed canonical event stream
+    // byte-for-byte, chunk boundaries included, plus every
+    // stream-independent measurement — must not depend on how many
+    // workers ran the encode. A capture recorded at any worker count may
+    // then serve replays for every other count.
+    use vstress::workbench::{capture_encode, RunSpec};
+    let serial = capture_encode(&RunSpec::quick("cat", CodecId::X264, EncoderParams::new(35, 4)))
+        .expect("serial capture");
+    let tiled = capture_encode(
+        &RunSpec::quick("cat", CodecId::X264, EncoderParams::new(35, 4)).with_tile_workers(4),
+    )
+    .expect("tiled capture");
+    assert_eq!(serial.stream.events(), tiled.stream.events(), "event count diverged");
+    assert_eq!(
+        serial.stream.chunks(),
+        tiled.stream.chunks(),
+        "packed canonical stream diverged across tile-worker counts"
+    );
+    assert_eq!(serial, tiled, "captured measurements diverged across tile-worker counts");
+}
+
+#[test]
+fn dead_probe_path_reaches_the_same_encode() {
+    // Without a live probe the workers take the memoized fast path; the
+    // artifacts (not the instrumentation, which is deliberately absent)
+    // must still be worker-count invariant and equal to the instrumented
+    // encode's.
+    let mut rng = Lcg(0xabad_cafe);
+    for codec in [CodecId::SvtAv1, CodecId::X265] {
+        let clip = awkward_clip(&mut rng, 2);
+        let params = EncoderParams::new(35, 6);
+        let encoder = Encoder::new(codec, params).expect("valid params");
+        let (_, live_out, _) = recorded_encode(codec, params, &clip, 3, 1);
+        for workers in [1usize, 2, 4] {
+            let mut null = vstress_trace::NullProbe;
+            let out =
+                encoder.encode_threaded(&clip, &mut null, workers, 1).expect("encode succeeds");
+            assert_eq!(out.bitstream, live_out.bitstream, "{codec:?} @ {workers} workers (dead)");
+            assert_eq!(out.recon, live_out.recon, "{codec:?} @ {workers} workers (dead)");
+        }
+    }
 }
 
 #[test]

@@ -95,7 +95,7 @@ fn capture_replay_is_bit_identical_for_both_tage_geometries() {
             mk(),
         );
         let encoder = Encoder::new(spec.codec, spec.params).unwrap();
-        encoder.encode_with(&clip, &mut live, 1).unwrap();
+        encoder.encode_threaded(&clip, &mut live, 1, 1).unwrap();
         let mut replay = CoreModel::new(
             CoreConfig::broadwell(),
             HierarchyConfig::broadwell_scaled(spec.cache_divisor),
@@ -126,7 +126,7 @@ fn branch_window_from_stream_matches_live_probe_pass() {
 
     let mut live = BranchWindowProbe::mid_run(total, window);
     let encoder = Encoder::new(spec.codec, spec.params).unwrap();
-    encoder.encode_with(&clip, &mut live, 1).unwrap();
+    encoder.encode_threaded(&clip, &mut live, 1, 1).unwrap();
 
     let mut replayed = BranchWindowProbe::mid_run(total, window);
     cap.stream.replay(&mut replayed);
