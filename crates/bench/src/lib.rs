@@ -1,44 +1,9 @@
-//! Shared configuration for the `vstress` benchmark suite.
-//!
-//! The actual benchmarks live in `benches/`:
-//!
-//! * `figures` — one Criterion benchmark per paper table/figure,
-//!   exercising the exact experiment runner that regenerates it (at a
-//!   micro profile so a full `cargo bench` stays tractable);
-//! * `kernels` — microbenchmarks of the hot substrate kernels (DCT, SATD,
-//!   range coder, predictors, cache);
-//! * `ablations` — the design-choice sweeps listed in DESIGN.md §6
-//!   (predictor families at equal budget, TAGE geometry, replacement
-//!   policies, prefetch, MLP modelling).
+//! Library side of `vstress-bench`, the workspace's one microbenchmark
+//! harness (the binary in `src/main.rs` times the kernels, simulators
+//! and design-choice ablations and writes the JSON trajectory report).
 //!
 //! [`gate`] holds the `vstress-bench gate` comparison logic — the
 //! perf-trajectory regression gate run by CI against the committed
 //! `BENCH_*.json` baselines.
 
 pub mod gate;
-
-use vstress::experiments::ExperimentConfig;
-
-/// A micro experiment profile: one tiny clip, two CRF points — small
-/// enough that Criterion can sample each figure runner repeatedly.
-pub fn micro_config() -> ExperimentConfig {
-    let mut cfg = ExperimentConfig::quick();
-    cfg.clips = vec!["cat"];
-    cfg.headline_clip = "cat";
-    cfg.crf_points = vec![20, 55];
-    cfg.preset_points = vec![2, 8];
-    cfg.cbp_window = 150_000;
-    cfg
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn micro_config_is_tiny() {
-        let c = micro_config();
-        assert_eq!(c.clips.len(), 1);
-        assert!(c.crf_points.len() <= 2);
-    }
-}

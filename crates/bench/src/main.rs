@@ -13,56 +13,54 @@
 //! ```
 //!
 //! Times the leaf pixel kernels (interior and border paths separately),
-//! motion search, the simulation-side hot paths (cache-hierarchy load
-//! stream, core-model event drain, stream record/replay, branch
-//! predictors, CBP window replay — each next to its pre-optimization
-//! reference so the speedup is visible inside one report), and three
-//! end-to-end walls: the counting-only quick-profile encode, the
-//! capture of the quick characterization's event streams, and the
-//! **re-simulation of those captured streams** — the capture-once /
-//! simulate-many contract's payoff, reported as the `characterization`
-//! section (`quick_profile_resim`; before the capture split this
-//! section timed the fused encode+simulate pass as
-//! `quick_profile_pipeline`). One JSON report (`ns/op`, `pixels/s`,
-//! wall time, git revision, build metadata) lets every PR be compared
-//! against the committed trajectory. Human-readable lines go to stderr;
-//! the JSON artifact is the contract. `gate` mode turns the comparison
-//! into an exit code for CI (see [`vstress_bench::gate`]).
+//! the transform and range-coder kernels, motion search, the
+//! simulation-side hot paths (cache-hierarchy load stream, core-model
+//! event drain, stream record/replay, branch predictors, CBP window
+//! replay), tile- and frame-parallel encodes, and the design-choice
+//! ablations of DESIGN.md §6 (`ablation_*`: each configuration prints its
+//! quality metric once, then is timed like any other sample). One JSON
+//! report (`ns/op`, `pixels/s`, git revision, build metadata) lets every
+//! PR be compared against the committed trajectory. Human-readable lines
+//! go to stderr; the JSON artifact is the contract. `gate` mode turns the
+//! comparison into an exit code for CI (see [`vstress_bench::gate`]).
+//!
+//! End-to-end wall clocks (the quick reproduction, store re-simulation,
+//! per-layer spans) are `perfbench/`'s job, not this harness's.
 
+use std::cell::OnceCell;
 use std::hint::black_box;
 use std::time::Instant;
-use vstress::bpred::{harness, BranchPredictor, Gshare, ReferenceGshare, ReferenceTage, Tage};
+use vstress::bpred::{
+    harness, Bimodal, BranchPredictor, Gshare, Perceptron, Tage, TageConfig, TageWithLoop,
+    Tournament, TwoLevelLocal,
+};
 use vstress::cache::config::PrefetchKind;
-use vstress::cache::{Hierarchy, HierarchyConfig, ReferenceHierarchy};
+use vstress::cache::{Hierarchy, HierarchyConfig, HierarchyStats, ReplacementPolicy};
 use vstress::cli::{self, FlagSpec};
 use vstress::codecs::blocks::BlockRect;
-use vstress::codecs::kernels;
+use vstress::codecs::codecs::ToolSet;
+use vstress::codecs::entropy::{Context, RangeDecoder, RangeEncoder};
 use vstress::codecs::mc::{motion_compensate, MotionVector};
 use vstress::codecs::mesearch::{motion_search, MeScratch, MeSettings};
-use vstress::codecs::{CodecId, EncoderParams};
-use vstress::experiments::{profile, ExperimentConfig};
-use vstress::pipeline::CoreModel;
-use vstress::trace::record::BranchRecord;
-use vstress::trace::{Kernel, NullProbe, Probe, ProbeEvent, StreamRecorder};
+use vstress::codecs::{kernels, transform, CodecId, Encoder, EncoderParams};
+use vstress::pipeline::{CoreConfig, CoreModel};
+use vstress::trace::record::{BranchRecord, NullSink};
+use vstress::trace::{Kernel, MemAccess, NullProbe, Probe, ProbeEvent, SinkProbe, StreamRecorder};
+use vstress::video::vbench::{self, FidelityConfig};
 use vstress::video::Plane;
-use vstress::workbench;
+use vstress::workbench::equivalent_params;
 use vstress_bench::gate;
+
+/// Workers for the tile-parallel encode sample.
+const TILE_WORKERS: usize = 4;
+/// Cross-frame pipeline depth for the stall-accounting sample.
+const FRAME_WORKERS: usize = 4;
 
 const FLAGS: &[FlagSpec] = &[
     FlagSpec::switch("--quick", "short sampling windows (CI mode)"),
     FlagSpec::switch("--list", "print available metric names (one per line), no timing"),
     FlagSpec::value("--out", "FILE", "report path (default BENCH_0007.json)"),
     FlagSpec::value("--filter", "SUBSTR", "only run/gate metrics whose name contains SUBSTR"),
-    FlagSpec::value(
-        "--tile-workers",
-        "N",
-        "workers for the tile-parallel encode sample (default 4)",
-    ),
-    FlagSpec::value(
-        "--frame-workers",
-        "N",
-        "cross-frame pipeline depth for the stall-accounting sample (default 4)",
-    ),
     FlagSpec::value("--baseline", "FILE", "gate: committed trajectory to compare against"),
     FlagSpec::value("--fresh", "FILE", "gate: compare this report instead of rerunning"),
     FlagSpec::value("--threshold", "FRAC", "gate: allowed slowdown fraction (default 0.10)"),
@@ -104,7 +102,8 @@ impl Sample {
 }
 
 /// Collects samples, honoring the `--filter` substring: setup always
-/// runs (it is cheap and shared), timing loops only for matching names.
+/// runs (it is cheap and shared; the ablation workloads, which are not,
+/// are built on first use), timing loops only for matching names.
 /// In `--list` mode every matching name is recorded with zeroed
 /// measurements and nothing is timed.
 struct Suite {
@@ -117,6 +116,11 @@ struct Suite {
 impl Suite {
     fn wants(&self, name: &str) -> bool {
         self.filter.as_deref().is_none_or(|f| name.contains(f))
+    }
+
+    /// Whether `name` will actually be timed (wanted, and not `--list`).
+    fn times(&self, name: &str) -> bool {
+        self.wants(name) && !self.list
     }
 
     /// Runs `f` repeatedly for roughly `target_ms` and records the sample
@@ -157,6 +161,23 @@ impl Suite {
             s.iters
         );
         self.samples.push(s);
+    }
+
+    /// Times one ablation configuration: a first, untimed `run` feeds the
+    /// `[ablation]` quality line (what the knob buys), then `run` is
+    /// timed like any other sample (what it costs).
+    fn ablation<R>(
+        &mut self,
+        name: &str,
+        mut run: impl FnMut() -> R,
+        quality: impl FnOnce(&R) -> String,
+    ) {
+        if self.times(name) {
+            eprintln!("[ablation] {}", quality(&run()));
+        }
+        self.time_it(name, 0, || {
+            black_box(run());
+        });
     }
 }
 
@@ -203,37 +224,23 @@ fn json_escape(s: &str) -> String {
 /// trajectory is only meaningful between runs with the same shape.
 struct BuildMeta {
     mode: &'static str,
-    tile_workers: usize,
-    frame_workers: usize,
     threads: usize,
     profile: &'static str,
 }
 
-/// The end-to-end wall clocks, when their sections ran.
-#[derive(Default)]
-struct Walls {
-    /// Counting-only quick-profile encode.
-    encode: Option<f64>,
-    /// Recording the quick characterization's event streams.
-    capture: Option<f64>,
-    /// Re-simulating the captured streams (the `characterization`
-    /// section of the report).
-    resim: Option<f64>,
-    /// Summed cross-frame watermark stall time of one pipelined encode
-    /// at the configured `--frame-workers` depth, in nanoseconds.
-    pipeline_stall_ns: Option<u64>,
-}
-
-fn render_report(samples: &[Sample], meta: &BuildMeta, walls: &Walls) -> String {
+/// Renders the report. `pipeline_stall_ns` is the summed cross-frame
+/// watermark stall time of one encode at [`FRAME_WORKERS`] depth, when
+/// that sample ran.
+fn render_report(samples: &[Sample], meta: &BuildMeta, pipeline_stall_ns: Option<u64>) -> String {
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": 2,\n");
+    json.push_str("  \"schema\": 3,\n");
     json.push_str(&format!("  \"git_rev\": \"{}\",\n", json_escape(&git_rev())));
     json.push_str(&format!("  \"mode\": \"{}\",\n", meta.mode));
     json.push_str(&format!(
-        "  \"meta\": {{\"tile_workers\": {}, \"frame_workers\": {}, \"threads\": {}, \
-         \"profile\": \"{}\"}},\n",
-        meta.tile_workers, meta.frame_workers, meta.threads, meta.profile
+        "  \"meta\": {{\"tile_workers\": {TILE_WORKERS}, \"frame_workers\": {FRAME_WORKERS}, \
+         \"threads\": {}, \"profile\": \"{}\"}},\n",
+        meta.threads, meta.profile
     ));
     json.push_str("  \"kernels\": [\n");
     for (i, s) in samples.iter().enumerate() {
@@ -249,38 +256,22 @@ fn render_report(samples: &[Sample], meta: &BuildMeta, walls: &Walls) -> String 
         ));
     }
     json.push_str("  ]");
-    if let Some(ms) = walls.encode {
-        json.push_str(&format!(
-            ",\n  \"encode\": {{\"name\": \"quick_profile\", \"wall_ms\": {ms:.1}}}"
-        ));
-    }
-    if let Some(ms) = walls.capture {
-        json.push_str(&format!(
-            ",\n  \"capture\": {{\"name\": \"quick_profile_capture\", \"wall_ms\": {ms:.1}}}"
-        ));
-    }
-    if let Some(ms) = walls.resim {
-        json.push_str(&format!(
-            ",\n  \"characterization\": {{\"name\": \"quick_profile_resim\", \"wall_ms\": {ms:.1}}}"
-        ));
-    }
     // Deliberately not a `ns_per_op` kernel line: stall time is a
     // wall-clock-adjacent quantity the gate must never compare across
     // machines, so it gets its own section the metric scan skips.
-    if let Some(ns) = walls.pipeline_stall_ns {
+    if let Some(ns) = pipeline_stall_ns {
         json.push_str(&format!(
-            ",\n  \"pipeline\": {{\"name\": \"pipeline_stall_ns\", \"frame_workers\": {}, \
-             \"stall_ns\": {}}}",
-            meta.frame_workers, ns
+            ",\n  \"pipeline\": {{\"name\": \"pipeline_stall_ns\", \"frame_workers\": \
+             {FRAME_WORKERS}, \"stall_ns\": {ns}}}"
         ));
     }
     json.push_str("\n}\n");
     json
 }
 
-/// Runs the whole microbenchmark suite (filtered), returning the samples
-/// plus the wall clocks of the end-to-end phases when they ran.
-fn run_suite(suite: &mut Suite, tile_workers: usize, frame_workers: usize) -> Walls {
+/// Runs the whole microbenchmark suite (filtered) into `suite`, returning
+/// the pipeline stall time when that sample ran.
+fn run_suite(suite: &mut Suite) -> Option<u64> {
     let cur = textured(64, 64, 4);
     // The reference plane carries the edge-padded shadow, as the encoder's
     // reconstruction planes do — border SAD and off-frame MC go through
@@ -376,10 +367,44 @@ fn run_suite(suite: &mut Suite, tile_workers: usize, frame_workers: usize) -> Wa
         ));
     });
 
-    // ---- Simulation-side microbenchmarks. Each optimized path is timed
-    // next to the kept pre-optimization reference (`*_ref` /
-    // `*_per_event` / `*_per_record` names), so the speedup of the
-    // rewrites stays visible inside a single report.
+    // Transform stage: the 8x8 DCT pair and the 16x16 SATD cost metric
+    // (over the residual block above).
+    let coeffs: Vec<i32> = (0..64).map(|i| (i * 37) % 255 - 127).collect();
+    let mut coeff_out = vec![0i32; 64];
+    suite.time_it("transform_fwd_8x8", 8 * 8, || {
+        transform::forward(&mut NullProbe, 8, black_box(&coeffs), &mut coeff_out);
+    });
+    suite.time_it("transform_inv_8x8", 8 * 8, || {
+        transform::inverse(&mut NullProbe, 8, black_box(&coeffs), &mut coeff_out);
+    });
+    suite.time_it("satd_16x16", 16 * 16, || {
+        black_box(transform::satd(&mut NullProbe, 16, 16, black_box(&res16)));
+    });
+
+    // Range coder: 10k adaptive bins through one context, each way.
+    let bins: Vec<bool> = (0..10_000).map(|i| i % 7 < 2).collect();
+    let encode_bins = || {
+        let mut enc = RangeEncoder::new();
+        let mut ctx = Context::new(1);
+        for &bin in black_box(&bins) {
+            enc.encode(&mut NullProbe, &mut ctx, bin);
+        }
+        enc.finish()
+    };
+    suite.time_it("entropy_encode_10k_bins", 0, || {
+        black_box(encode_bins());
+    });
+    let coded = encode_bins();
+    suite.time_it("entropy_decode_10k_bins", 0, || {
+        let mut dec = RangeDecoder::new(black_box(&coded));
+        let mut ctx = Context::new(1);
+        let ones = (0..bins.len()).filter(|_| dec.decode(&mut NullProbe, &mut ctx)).count();
+        black_box(ones);
+    });
+
+    // ---- Simulation-side microbenchmarks. `sim_core_drain_16k_per_event`
+    // keeps the pre-batching probe interface next to the batched drain,
+    // so the dispatch saving stays visible inside a single report.
 
     // Cache hierarchy, streaming load/store sweep: sequential 8-byte
     // accesses (eight per 64 B line, so the L1D MRU fast path carries
@@ -395,13 +420,6 @@ fn run_suite(suite: &mut Suite, tile_workers: usize, frame_workers: usize) -> Wa
             black_box(live_hier.load(black_box(a), 8));
         }
     });
-    let mut ref_hier = ReferenceHierarchy::new(hier_cfg);
-    suite.time_it("sim_hier_load_stream_4k_ref", 0, || {
-        for &a in &addrs {
-            black_box(ref_hier.load(black_box(a), 8));
-        }
-    });
-
     // Core-model event drain: one batched `drain_batch` call versus the
     // old per-event dispatch loop, over an encoder-shaped event mix.
     let mut x = 0x2545_f491_4f6c_dd1du64;
@@ -463,8 +481,7 @@ fn run_suite(suite: &mut Suite, tile_workers: usize, frame_workers: usize) -> Wa
         stream_model.consume_stream(black_box(&stream16k));
     });
 
-    // Branch predictors: single predict+update round-trips, the live
-    // rewrites next to their kept references.
+    // Branch predictors: single predict+update round-trips.
     let mut g32 = Gshare::with_budget_bytes(32 << 10);
     let mut bi = 0u64;
     suite.time_it("sim_gshare32_predict_update", 0, || {
@@ -484,22 +501,11 @@ fn run_suite(suite: &mut Suite, tile_workers: usize, frame_workers: usize) -> Wa
         t8.update(pc, taken, guess);
         black_box(guess);
     });
-    let mut rt8 = ReferenceTage::seznec_8kb();
-    suite.time_it("sim_tage8_predict_update_ref", 0, || {
-        bi = bi.wrapping_add(0x9e37_79b9);
-        let pc = 0x1000 + (bi % 64) * 8;
-        let taken = bi & 3 != 0;
-        let guess = rt8.predict(pc);
-        rt8.update(pc, taken, guess);
-        black_box(guess);
-    });
 
     // CBP window replay, through type erasure as the study runs it: the
     // whole-trace `replay` entry point (one virtual call per trace, with
-    // predict/update statically dispatched inside) versus the pre-rewrite
-    // path — the kept reference implementations driven by the old
-    // per-record loop (two virtual calls per branch). Fresh predictor per
-    // iteration so both sides always replay from untrained tables.
+    // predict/update statically dispatched inside). Fresh predictor per
+    // iteration so every replay starts from untrained tables.
     let trace: Vec<BranchRecord> = (0..100_000u64)
         .map(|i| {
             x ^= x << 13;
@@ -516,28 +522,16 @@ fn run_suite(suite: &mut Suite, tile_workers: usize, frame_workers: usize) -> Wa
         let mut p: Box<dyn BranchPredictor> = Box::new(Gshare::with_budget_bytes(2 << 10));
         black_box(harness::run_with_window(&mut p, black_box(&trace), 1_000_000));
     });
-    suite.time_it("sim_cbp_replay_gshare2_100k_ref", 0, || {
-        let mut p: Box<dyn BranchPredictor> = Box::new(ReferenceGshare::with_budget_bytes(2 << 10));
-        black_box(harness::run_per_record(p.as_mut(), black_box(&trace), 1_000_000));
-    });
     suite.time_it("sim_cbp_replay_tage8_100k", 0, || {
         let mut p: Box<dyn BranchPredictor> = Box::new(Tage::seznec_8kb());
         black_box(harness::run_with_window(&mut p, black_box(&trace), 1_000_000));
     });
-    suite.time_it("sim_cbp_replay_tage8_100k_per_record", 0, || {
-        let mut p: Box<dyn BranchPredictor> = Box::new(Tage::seznec_8kb());
-        black_box(harness::run_per_record(p.as_mut(), black_box(&trace), 1_000_000));
-    });
-    suite.time_it("sim_cbp_replay_tage8_100k_ref", 0, || {
-        let mut p: Box<dyn BranchPredictor> = Box::new(ReferenceTage::seznec_8kb());
-        black_box(harness::run_per_record(p.as_mut(), black_box(&trace), 1_000_000));
-    });
 
     // Intra-encode tile parallelism: one dead-probe SVT-AV1 encode at 1
-    // vs N tile workers. The artifacts are identical by the probe-merge
-    // contract; only the partition-planning wall clock may differ, and
-    // this pair makes the phase-A speedup (or single-core overhead)
-    // visible in the trajectory.
+    // vs `TILE_WORKERS` tile workers. The artifacts are identical by the
+    // probe-merge contract; only the partition-planning wall clock may
+    // differ, and this pair makes the phase-A speedup (or single-core
+    // overhead) visible in the trajectory.
     let tile_clip = vstress::video::synth::SynthParams {
         width: 160,
         height: 96,
@@ -549,18 +543,14 @@ fn run_suite(suite: &mut Suite, tile_workers: usize, frame_workers: usize) -> Wa
     }
     .synthesize("bench-tiles")
     .expect("even dimensions synthesize");
-    let tile_encoder = vstress::codecs::Encoder::new(CodecId::SvtAv1, EncoderParams::new(35, 6))
-        .expect("valid params");
-    suite.time_it("encode_tile_workers_1", 0, || {
-        let mut probe = NullProbe;
-        black_box(tile_encoder.encode_threaded(&tile_clip, &mut probe, 1, 1).expect("encode"));
-    });
-    suite.time_it(&format!("encode_tile_workers_{tile_workers}"), 0, || {
-        let mut probe = NullProbe;
-        black_box(
-            tile_encoder.encode_threaded(&tile_clip, &mut probe, tile_workers, 1).expect("encode"),
-        );
-    });
+    let tile_encoder =
+        Encoder::new(CodecId::SvtAv1, EncoderParams::new(35, 6)).expect("valid params");
+    for tw in [1, TILE_WORKERS] {
+        suite.time_it(&format!("encode_tile_workers_{tw}"), 0, || {
+            let mut probe = NullProbe;
+            black_box(tile_encoder.encode_threaded(&tile_clip, &mut probe, tw, 1).expect("encode"));
+        });
+    }
 
     // Cross-frame pipelining: the same dead-probe encode over a clip
     // long enough to fill the pipeline, at depth 1/2/4. Artifacts are
@@ -587,10 +577,10 @@ fn run_suite(suite: &mut Suite, tile_workers: usize, frame_workers: usize) -> Wa
     }
 
     // Cross-frame scheduler slack: one pipelined dead-probe encode at
-    // the configured `--frame-workers` depth, summing the watermark
-    // stall time the planners spent blocked on reference rows. Lands in
-    // its own report section (see `render_report`) so the gate never
-    // compares this machine-dependent number.
+    // `FRAME_WORKERS` depth, summing the watermark stall time the
+    // planners spent blocked on reference rows. Lands in its own report
+    // section (see `render_report`) so the gate never compares this
+    // machine-dependent number.
     let mut pipeline_stall_ns = None;
     if suite.wants("pipeline_stall_ns") {
         if suite.list {
@@ -603,92 +593,219 @@ fn run_suite(suite: &mut Suite, tile_workers: usize, frame_workers: usize) -> Wa
         } else {
             let mut probe = NullProbe;
             let run = tile_encoder
-                .encode_threaded(&pipe_clip, &mut probe, 1, frame_workers)
+                .encode_threaded(&pipe_clip, &mut probe, 1, FRAME_WORKERS)
                 .expect("encode");
             let ns: u64 = run.tasks.frames.iter().map(|f| f.pipeline.stall_ns).sum();
             eprintln!(
-                "vstress-bench: {:<34} {ns:>12} ns stalled (frame-workers {frame_workers})",
+                "vstress-bench: {:<34} {ns:>12} ns stalled (frame-workers {FRAME_WORKERS})",
                 "pipeline_stall_ns"
             );
             pipeline_stall_ns = Some(ns);
         }
     }
 
-    // Full quick-profile encode: the hot-kernel profile experiment over the
-    // quick configuration, exactly what `vstress-repro profile` runs. This
-    // is a counting-only pass (no simulators attached), so it tracks the
-    // encoder kernels, not the simulation path.
-    let encode_wall_ms = wall(suite, "quick_profile_encode", || {
-        let cfg = ExperimentConfig::quick();
-        profile::table_hot_kernels(&cfg).expect("quick profile");
-    });
-
-    // The quick characterization's clips and encoder parameters — the
-    // configuration every figure experiment actually runs — split into
-    // the capture-once / simulate-many phases.
-    let char_cfg = ExperimentConfig::quick();
-    let char_specs: Vec<_> = char_cfg
-        .clips
-        .iter()
-        .map(|&clip| char_cfg.spec(clip, CodecId::SvtAv1, EncoderParams::new(35, 4)))
-        .collect();
-
-    // Capture: record every spec's canonical event stream (clip
-    // synthesis + recording encode, no simulation).
-    let mut caps: Vec<workbench::CapturedEncode> = Vec::new();
-    let capture_wall_ms = wall(suite, "quick_profile_capture", || {
-        caps = char_specs
-            .iter()
-            .map(|s| workbench::capture_encode(s).expect("quick capture"))
-            .collect();
-    });
-
-    // Re-simulation from the warm captures: the pipeline model (cache
-    // hierarchy, top-down slots, fetch stream) consuming the recorded
-    // streams — the wall clock the simulation-path optimizations are
-    // accountable to, and what a warm-store characterization re-run
-    // costs. When the capture phase was filtered out, capturing runs
-    // here untimed as setup.
-    if suite.wants("quick_profile_resim") && !suite.list && caps.is_empty() {
-        caps = char_specs
-            .iter()
-            .map(|s| workbench::capture_encode(s).expect("quick capture"))
-            .collect();
-    }
-    let resim_wall_ms = wall(suite, "quick_profile_resim", || {
-        for (spec, cap) in char_specs.iter().zip(&caps) {
-            black_box(workbench::characterize_from_capture(spec, cap));
-        }
-    });
-
-    Walls {
-        encode: encode_wall_ms,
-        capture: capture_wall_ms,
-        resim: resim_wall_ms,
-        pipeline_stall_ns,
-    }
+    run_ablations(suite);
+    pipeline_stall_ns
 }
 
-/// Times one end-to-end wall-clock section, honoring filter and list
-/// mode like [`Suite::time_it`] (listed names carry zeroed samples).
-fn wall(suite: &mut Suite, name: &str, body: impl FnOnce()) -> Option<f64> {
-    if !suite.wants(name) {
-        return None;
+/// The branch and memory traces of one SVT-AV1 `game2` smoke encode,
+/// plus its retired-instruction count (the MPKI denominator).
+type AblationTraces = (Vec<BranchRecord>, Vec<MemAccess>, u64);
+
+fn ablation_traces() -> AblationTraces {
+    let clip = vbench::clip("game2").expect("vbench clip").synthesize(&FidelityConfig::smoke());
+    let enc = Encoder::new(CodecId::SvtAv1, EncoderParams::new(45, 6)).expect("valid params");
+    let mut probe = SinkProbe::new(Vec::new(), Vec::new());
+    enc.encode(&clip, &mut probe).expect("encode");
+    let (mix, branches, mems) = probe.into_parts();
+    eprintln!(
+        "vstress-bench: ablation traces: {} branches, {} memory accesses (SVT-AV1 game2 smoke)",
+        branches.len(),
+        mems.len()
+    );
+    (branches, mems, mix.total())
+}
+
+/// Replays a memory trace through a fresh hierarchy.
+fn replay_mems(cfg: HierarchyConfig, mems: &[MemAccess]) -> HierarchyStats {
+    let mut h = Hierarchy::new(cfg);
+    for m in mems {
+        if m.is_store {
+            h.store(m.addr, m.bytes);
+        } else {
+            h.load(m.addr, m.bytes);
+        }
     }
-    if suite.list {
-        suite.samples.push(Sample {
-            name: name.to_owned(),
-            iters: 0,
-            ns_per_op: 0.0,
-            pixels_per_op: 0,
-        });
-        return None;
+    h.stats()
+}
+
+/// The design-choice ablations of DESIGN.md §6: six groups of
+/// configurations, each group on one shared workload so a group's
+/// quality lines compare like with like. The workloads are built on
+/// first use, so `--list` and filters that exclude them pay nothing.
+fn run_ablations(suite: &mut Suite) {
+    let traces_cell = OnceCell::new();
+    let traces = || traces_cell.get_or_init(ablation_traces);
+    let cat_cell = OnceCell::new();
+    let cat = || {
+        cat_cell.get_or_init(|| {
+            vbench::clip("cat").expect("vbench clip").synthesize(&FidelityConfig::smoke())
+        })
+    };
+
+    // Predictor family at a fixed ~8 KB budget.
+    type PredictorFactory = fn() -> Box<dyn BranchPredictor>;
+    let families: [(&str, PredictorFactory); 7] = [
+        ("bimodal", || Box::new(Bimodal::with_budget_bytes(8 << 10))),
+        ("local", || Box::new(TwoLevelLocal::new(12, 12))),
+        ("gshare", || Box::new(Gshare::with_budget_bytes(8 << 10))),
+        ("tournament", || Box::new(Tournament::with_budget_bytes(8 << 10))),
+        ("perceptron", || Box::new(Perceptron::with_budget_bytes(8 << 10))),
+        ("tage", || Box::new(Tage::seznec_8kb())),
+        ("tage_l", || Box::new(TageWithLoop::seznec_8kb())),
+    ];
+    for (config, make) in families {
+        suite.ablation(
+            &format!("ablation_predictor_{config}"),
+            || {
+                let (branches, _, total) = traces();
+                harness::run_with_window(&mut make(), branches, *total)
+            },
+            |stats| {
+                format!(
+                    "predictor {config:<10} miss {:.3}%  MPKI {:.3}",
+                    stats.miss_rate() * 100.0,
+                    stats.mpki()
+                )
+            },
+        );
     }
-    let t0 = Instant::now();
-    body();
-    let ms = t0.elapsed().as_secs_f64() * 1e3;
-    eprintln!("vstress-bench: {name:<34} {ms:>12.1} ms wall");
-    Some(ms)
+
+    // TAGE tagged-table count, entries scaled to keep total storage
+    // roughly constant.
+    for tables in [2usize, 4, 6, 10] {
+        let cfg = TageConfig {
+            num_tables: tables,
+            log_entries: match tables {
+                2 => 11,
+                4 => 10,
+                _ => 9,
+            },
+            ..TageConfig::budget_8kb()
+        };
+        suite.ablation(
+            &format!("ablation_tage_tables_{tables}"),
+            || {
+                let (branches, _, total) = traces();
+                harness::run_with_window(&mut Tage::new(cfg.clone()), branches, *total)
+            },
+            |stats| {
+                format!(
+                    "tage tables={tables:<2} miss {:.3}%  MPKI {:.3}",
+                    stats.miss_rate() * 100.0,
+                    stats.mpki()
+                )
+            },
+        );
+    }
+
+    // Cache replacement policy at L1D and L2.
+    let policy_name = |p: ReplacementPolicy| format!("ablation_cache_{}", p.label());
+    for policy in ReplacementPolicy::ALL {
+        let mut cfg = HierarchyConfig::broadwell_scaled(16);
+        cfg.l1d.policy = policy;
+        cfg.l2.policy = policy;
+        suite.ablation(
+            &policy_name(policy),
+            || replay_mems(cfg, &traces().1),
+            |stats| {
+                let total = traces().2;
+                format!(
+                    "policy {:<7} L1D MPKI {:.2}  L2 MPKI {:.2}",
+                    policy.label(),
+                    stats.l1d.mpki(total),
+                    stats.l2.mpki(total)
+                )
+            },
+        );
+    }
+    // The L2 prefetcher sweep is quality-only (untimed): it rides along
+    // whenever a replacement-policy configuration runs.
+    if ReplacementPolicy::ALL.into_iter().any(|p| suite.times(&policy_name(p))) {
+        let (_, mems, total) = traces();
+        for prefetch in [PrefetchKind::None, PrefetchKind::NextLine, PrefetchKind::Stride] {
+            let mut cfg = HierarchyConfig::broadwell_scaled(16);
+            cfg.l2_prefetch = prefetch;
+            eprintln!(
+                "[ablation] prefetch={prefetch:?}  L2 MPKI {:.3}",
+                replay_mems(cfg, mems).l2.mpki(*total)
+            );
+        }
+    }
+
+    // Memory-level-parallelism modelling in the interval core.
+    let svt = Encoder::new(CodecId::SvtAv1, EncoderParams::new(45, 6)).expect("valid params");
+    for (config, max_mlp) in [("mlp_off", 1u32), ("mlp_4", 4), ("mlp_8", 8)] {
+        suite.ablation(
+            &format!("ablation_{config}"),
+            || {
+                let mut cfg = CoreConfig::broadwell();
+                cfg.max_mlp = max_mlp;
+                let mut model = CoreModel::new(
+                    cfg,
+                    HierarchyConfig::broadwell_scaled(16),
+                    Gshare::with_budget_bytes(32 << 10),
+                );
+                svt.encode(cat(), &mut model).expect("encode");
+                model.into_report()
+            },
+            |report| format!("{config:<8} IPC {:.3}", report.ipc()),
+        );
+    }
+
+    // The paper's "exponential search space" claim: partition grammar
+    // size vs instruction count at identical content and quality.
+    for (config, codec) in [
+        ("av1_10_shapes", CodecId::SvtAv1),
+        ("vp9_4_shapes", CodecId::LibvpxVp9),
+        ("h26x_quadtree", CodecId::X265),
+    ] {
+        let enc = Encoder::new(codec, equivalent_params(codec, 30, 2)).expect("valid params");
+        suite.ablation(
+            &format!("ablation_search_space_{config}"),
+            || {
+                let mut probe = SinkProbe::new(NullSink, NullSink);
+                enc.encode(cat(), &mut probe).expect("encode");
+                probe.mix().total()
+            },
+            |&instrs| format!("{config:<14} instructions {:.3e}", instrs as f64),
+        );
+    }
+
+    // RDO early-termination aggressiveness — the paper's "increasing CRF
+    // simply decreases the amount of algorithmic work" pruning dial,
+    // isolated from CRF.
+    let params = EncoderParams::new(40, 4);
+    let base = ToolSet::resolve(CodecId::SvtAv1, &params).expect("valid params");
+    for scale in [1u64, 4, 16, 64] {
+        let mut tools = base.clone();
+        tools.early_exit_scale = scale;
+        let enc = Encoder::with_tools(tools, params).expect("valid tools");
+        suite.ablation(
+            &format!("ablation_early_exit_{scale}"),
+            || {
+                let mut probe = SinkProbe::new(NullSink, NullSink);
+                let out = enc.encode(cat(), &mut probe).expect("encode");
+                (probe.mix().total(), out.mean_psnr())
+            },
+            |&(instrs, psnr)| {
+                format!(
+                    "early_exit_scale={scale:<3} instructions {:.3e}  PSNR {psnr:.2} dB",
+                    instrs as f64
+                )
+            },
+        );
+    }
 }
 
 fn main() {
@@ -705,14 +822,6 @@ fn main() {
     let gate_mode = parsed.positionals.iter().any(|p| p == "gate");
     let quick = parsed.switch("--quick");
     let filter = parsed.value("--filter").map(str::to_owned);
-    let tile_workers = match parsed.parsed("--tile-workers", cli::positive_usize) {
-        Ok(v) => v.unwrap_or(4),
-        Err(e) => usage_error(&e),
-    };
-    let frame_workers = match parsed.parsed("--frame-workers", cli::positive_usize) {
-        Ok(v) => v.unwrap_or(4),
-        Err(e) => usage_error(&e),
-    };
     let out_path = parsed.value("--out").unwrap_or("BENCH_0007.json").to_owned();
 
     // `--list`: walk the suite without timing anything and print every
@@ -723,7 +832,7 @@ fn main() {
             std::process::exit(cli::USAGE_EXIT.into());
         }
         let mut suite = Suite { filter, list: true, target_ms: 0, samples: Vec::new() };
-        run_suite(&mut suite, tile_workers, frame_workers);
+        run_suite(&mut suite);
         for s in &suite.samples {
             println!("{}", s.name);
         }
@@ -732,8 +841,6 @@ fn main() {
 
     let meta = BuildMeta {
         mode: if quick { "quick" } else { "full" },
-        tile_workers,
-        frame_workers,
         threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         profile: if cfg!(debug_assertions) { "debug" } else { "release" },
     };
@@ -778,8 +885,8 @@ fn main() {
                     target_ms: if quick { 40 } else { 250 },
                     samples: Vec::new(),
                 };
-                let walls = run_suite(&mut suite, tile_workers, frame_workers);
-                let json = render_report(&suite.samples, &meta, &walls);
+                let stall_ns = run_suite(&mut suite);
+                let json = render_report(&suite.samples, &meta, stall_ns);
                 // Persist the fresh report only when asked: CI uploads it
                 // as the run artifact.
                 if parsed.value("--out").is_some() {
@@ -837,8 +944,8 @@ fn main() {
     eprintln!("vstress-bench: mode = {}", meta.mode);
     let mut suite =
         Suite { filter, list: false, target_ms: if quick { 40 } else { 250 }, samples: Vec::new() };
-    let walls = run_suite(&mut suite, tile_workers, frame_workers);
-    let json = render_report(&suite.samples, &meta, &walls);
+    let stall_ns = run_suite(&mut suite);
+    let json = render_report(&suite.samples, &meta, stall_ns);
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("vstress-bench: cannot write {out_path}: {e}");
         std::process::exit(1);

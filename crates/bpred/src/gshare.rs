@@ -13,8 +13,8 @@ use vstress_trace::record::BranchRecord;
 /// shift register (most recent outcome in bit 0), maintained in O(1) per
 /// branch. The pre-rewrite implementation, which read the history bit by
 /// bit out of the shared circular buffer on every index computation, is
-/// kept as [`crate::reference::ReferenceGshare`]; an equivalence test
-/// pins the two to identical per-branch predictions.
+/// kept as the test-only oracle `reference::ReferenceGshare`; an
+/// equivalence test pins the two to identical per-branch predictions.
 ///
 /// ```
 /// use vstress_bpred::{BranchPredictor, Gshare};

@@ -58,26 +58,6 @@ pub fn run_with_window<P: BranchPredictor>(
     BpredStats { branches: trace.len() as u64, mispredicts, window_instructions }
 }
 
-/// The pre-batching replay loop: predict/update dispatched per record, so
-/// a type-erased predictor pays two virtual calls per branch. Kept as the
-/// equivalence reference (`replay` must produce identical stats on every
-/// predictor) and as the `vstress-bench` baseline.
-pub fn run_per_record(
-    predictor: &mut dyn BranchPredictor,
-    trace: &[BranchRecord],
-    window_instructions: u64,
-) -> BpredStats {
-    let mut mispredicts = 0u64;
-    for r in trace {
-        let guess = predictor.predict(r.pc);
-        if guess != r.taken {
-            mispredicts += 1;
-        }
-        predictor.update(r.pc, r.taken, guess);
-    }
-    BpredStats { branches: trace.len() as u64, mispredicts, window_instructions }
-}
-
 /// A streaming predictor adaptor: implements
 /// [`BranchSink`](vstress_trace::record::BranchSink) so a predictor can be
 /// attached directly to an instrumented encode (no trace buffering), which
@@ -124,6 +104,26 @@ mod tests {
     use super::*;
     use crate::Bimodal;
     use vstress_trace::record::BranchSink;
+
+    /// The pre-batching replay loop: predict/update dispatched per record, so
+    /// a type-erased predictor pays two virtual calls per branch. Kept as the
+    /// equivalence reference: `replay` must produce identical stats on every
+    /// predictor.
+    fn run_per_record(
+        predictor: &mut dyn BranchPredictor,
+        trace: &[BranchRecord],
+        window_instructions: u64,
+    ) -> BpredStats {
+        let mut mispredicts = 0u64;
+        for r in trace {
+            let guess = predictor.predict(r.pc);
+            if guess != r.taken {
+                mispredicts += 1;
+            }
+            predictor.update(r.pc, r.taken, guess);
+        }
+        BpredStats { branches: trace.len() as u64, mispredicts, window_instructions }
+    }
 
     fn biased_trace(n: usize) -> Vec<BranchRecord> {
         (0..n).map(|i| BranchRecord { pc: 0x44, taken: i % 10 != 0 }).collect()

@@ -34,7 +34,8 @@ pub mod history;
 pub mod local;
 pub mod looppred;
 pub mod perceptron;
-pub mod reference;
+#[cfg(test)]
+mod reference;
 pub mod tage;
 pub mod tournament;
 
@@ -44,7 +45,6 @@ pub use harness::{run, BpredStats};
 pub use local::TwoLevelLocal;
 pub use looppred::{LoopPredictor, TageWithLoop};
 pub use perceptron::Perceptron;
-pub use reference::{ReferenceGshare, ReferenceTage};
 pub use tage::{Tage, TageConfig};
 pub use tournament::Tournament;
 
@@ -81,9 +81,8 @@ pub trait BranchPredictor {
     /// default trait methods are monomorphized per implementing type, so
     /// calling this through `&mut dyn BranchPredictor` costs one virtual
     /// call per *trace* — with statically dispatched predict/update
-    /// inside — instead of two per *branch* (`harness::run_per_record`
-    /// keeps the old loop as the equivalence reference and bench
-    /// baseline).
+    /// inside — instead of two per *branch* (`harness`'s tests keep the
+    /// old per-record loop as the equivalence reference).
     fn replay(&mut self, trace: &[BranchRecord]) -> u64 {
         let mut mispredicts = 0u64;
         for r in trace {

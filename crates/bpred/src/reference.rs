@@ -1,15 +1,11 @@
-//! Kept pre-rewrite predictor implementations.
+//! Kept pre-rewrite predictor implementations (compiled for tests only).
 //!
 //! Mirrors `vstress_cache::reference`: when a predictor's hot path is
 //! rewritten for speed, the original implementation moves here verbatim
-//! and stays compiled, serving two purposes —
-//!
-//! 1. **equivalence oracle**: property tests drive the live predictor
-//!    and its reference with the same traces and assert identical
-//!    per-branch predictions and final mispredict counts, so the rewrite
-//!    cannot silently change simulated results;
-//! 2. **bench baseline**: `vstress-bench` times the live path next to
-//!    the reference, so the speedup stays measurable in every report.
+//! and serves as the **equivalence oracle**: property tests drive the
+//! live predictor and its reference with the same traces and assert
+//! identical per-branch predictions and final mispredict counts, so the
+//! rewrite cannot silently change simulated results.
 
 use crate::counter::SatCounter;
 use crate::history::{GlobalHistory, HistoryBundle};
@@ -42,13 +38,6 @@ impl ReferenceGshare {
             history: GlobalHistory::new(),
             index_bits,
         }
-    }
-
-    /// Creates the largest reference gshare fitting in `bytes` of
-    /// storage (2 bits per counter).
-    pub fn with_budget_bytes(bytes: u64) -> Self {
-        let counters = (bytes * 8 / 2).max(2);
-        Self::new(63 - counters.leading_zeros())
     }
 
     fn index(&self, pc: u64) -> usize {
@@ -187,11 +176,6 @@ impl ReferenceTage {
     /// The paper's 8 KB TAGE, reference implementation.
     pub fn seznec_8kb() -> Self {
         Self::new(TageConfig::budget_8kb())
-    }
-
-    /// The paper's 64 KB TAGE, reference implementation.
-    pub fn seznec_64kb() -> Self {
-        Self::new(TageConfig::budget_64kb())
     }
 
     #[inline]

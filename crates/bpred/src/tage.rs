@@ -12,8 +12,8 @@
 //! # Hot-path layout
 //!
 //! This is the rewritten fast implementation; the original lives on as
-//! [`crate::reference::ReferenceTage`], and property tests pin the two
-//! to identical per-branch predictions. Three structural changes:
+//! the test-only oracle `reference::ReferenceTage`, and property tests
+//! pin the two to identical per-branch predictions. Three structural changes:
 //!
 //! * **Flat tables.** All tagged tables share one contiguous `Vec`
 //!   (table `t` at `t << log_entries`), removing a pointer chase per

@@ -3,8 +3,8 @@
 use crate::policy::ReplacementPolicy;
 
 /// Hardware prefetcher attached to the L2 (the paper's Broadwell has both
-/// an adjacent-line and a streamer/stride prefetcher; the ablation benches
-/// compare them).
+/// an adjacent-line and a streamer/stride prefetcher; the `vstress-bench`
+/// cache ablation compares them).
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
 )]

@@ -32,11 +32,11 @@ pub mod config;
 pub mod hierarchy;
 pub mod policy;
 pub mod prefetch;
-pub mod reference;
+#[cfg(test)]
+mod reference;
 
 pub use cache::{AccessKind, Cache, CacheStats};
 pub use config::{CacheConfig, HierarchyConfig};
 pub use hierarchy::{Hierarchy, HierarchyStats, ServiceLevel};
 pub use policy::ReplacementPolicy;
 pub use prefetch::PrefetchList;
-pub use reference::ReferenceHierarchy;

@@ -4,9 +4,7 @@ use crate::runtime::cycles_to_seconds;
 use vstress_codecs::taskgraph::TaskTrace;
 use vstress_codecs::{CodecError, CodecId, Encoder, EncoderParams};
 use vstress_pipeline::{CoreModel, CoreReport};
-use vstress_trace::{
-    ChunkTx, CountingProbe, EventStream, HotKernelProfile, OpMix, StreamRecorder, TeeProbe,
-};
+use vstress_trace::{ChunkTx, EventStream, HotKernelProfile, OpMix, StreamRecorder};
 use vstress_video::vbench::{self, FidelityConfig};
 use vstress_video::{Clip, VideoError};
 
@@ -24,7 +22,8 @@ pub struct RunSpec {
     /// Cache-hierarchy scale divisor (match `fidelity.dimension_divisor`).
     pub cache_divisor: usize,
     /// Whether to run the pipeline model (cycles, top-down, MPKI). When
-    /// `false`, only the instruction mix is gathered — roughly 3x faster.
+    /// `false`, only the instruction mix is gathered and the captured
+    /// stream is never simulated.
     pub model_pipeline: bool,
     /// Worker threads for the intra-encode tile/wavefront decomposition
     /// of Phase A (`Encoder::encode_threaded`, which runs one frame loop
@@ -164,62 +163,16 @@ pub fn clip_for(spec: &RunSpec) -> Result<Clip, WorkbenchError> {
     Ok(vbench::clip(spec.clip)?.synthesize(&spec.fidelity))
 }
 
-/// Runs one fully characterized encode.
+/// Runs one fully characterized encode, through the same path
+/// `vstress-repro` takes: a recording encode whose event stream the core
+/// model consumes chunk by chunk while the encode runs (counting-only
+/// specs skip the model; see [`RunCache::run`](crate::exec::RunCache::run)).
 ///
 /// # Errors
 ///
 /// Returns [`WorkbenchError`] for unknown clips or invalid parameters.
 pub fn characterize(spec: &RunSpec) -> Result<CharacterizationRun, WorkbenchError> {
-    let clip = clip_for(spec)?;
-    characterize_clip(spec, &clip)
-}
-
-/// Like [`characterize`], but reuses an already-synthesized clip.
-pub fn characterize_clip(
-    spec: &RunSpec,
-    clip: &Clip,
-) -> Result<CharacterizationRun, WorkbenchError> {
-    let encoder = Encoder::new(spec.codec, spec.params)?;
-    let tile_workers = spec.tile_workers.max(1);
-    let frame_workers = spec.frame_workers.max(1);
-    if spec.model_pipeline {
-        let mut probe =
-            TeeProbe::new(CountingProbe::new(), CoreModel::broadwell_scaled(spec.cache_divisor));
-        let out = encoder.encode_threaded(clip, &mut probe, tile_workers, frame_workers)?;
-        let (counting, core) = probe.into_parts();
-        let report = core.into_report();
-        Ok(CharacterizationRun {
-            codec: spec.codec,
-            params: spec.params,
-            clip: clip.name().to_owned(),
-            mix: counting.mix(),
-            profile: counting.profile().clone(),
-            seconds: cycles_to_seconds(report.cycles),
-            core: report,
-            mean_psnr: out.mean_psnr(),
-            bitrate_kbps: out.bitrate_kbps,
-            total_bits: out.total_bits(),
-            tasks: out.tasks,
-        })
-    } else {
-        let mut probe = CountingProbe::new();
-        let out = encoder.encode_threaded(clip, &mut probe, tile_workers, frame_workers)?;
-        // A zeroed report keeps the type simple for counting-only runs.
-        let report = CoreModel::broadwell_scaled(spec.cache_divisor).into_report();
-        Ok(CharacterizationRun {
-            codec: spec.codec,
-            params: spec.params,
-            clip: clip.name().to_owned(),
-            mix: probe.mix(),
-            profile: probe.profile().clone(),
-            seconds: 0.0,
-            core: report,
-            mean_psnr: out.mean_psnr(),
-            bitrate_kbps: out.bitrate_kbps,
-            total_bits: out.total_bits(),
-            tasks: out.tasks,
-        })
-    }
+    crate::exec::RunCache::new().run(spec).map(std::sync::Arc::unwrap_or_clone)
 }
 
 /// One recorded encode: the full canonical probe event stream plus every
@@ -343,8 +296,8 @@ pub fn capture_encode(spec: &RunSpec) -> Result<CapturedEncode, WorkbenchError> 
 /// replay through a fresh core model (or no simulation at all, for
 /// counting-only specs).
 ///
-/// Bit-identical to the fused live path ([`characterize_clip`]) — the
-/// `stream_equivalence` integration test is the oracle.
+/// Bit-identical to a fused live encode driving the core model directly
+/// — the `stream_equivalence` integration test is the oracle.
 pub fn characterize_from_capture(spec: &RunSpec, cap: &CapturedEncode) -> CharacterizationRun {
     let mut core = CoreModel::broadwell_scaled(spec.cache_divisor);
     if spec.model_pipeline {

@@ -20,7 +20,7 @@
 //!
 //! The approximations and their calibration are documented on
 //! [`CoreConfig`]; every penalty/exposure parameter is a config field so
-//! the ablation benches can vary them.
+//! the `vstress-bench` ablations can vary them.
 //!
 //! ```
 //! use vstress_pipeline::CoreModel;

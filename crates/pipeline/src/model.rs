@@ -113,7 +113,7 @@ impl CoreModel<Gshare> {
     /// The paper's machine: Broadwell core parameters, full-size Broadwell
     /// cache hierarchy, and a 32 KB gshare standing in for the host branch
     /// unit (calibrated so whole-run miss rates land in the paper's
-    /// 2–3.5% band; the ablation benches swap in TAGE).
+    /// 2–3.5% band; [`CoreModel::new`] takes any other predictor).
     pub fn broadwell() -> Self {
         Self::new(
             CoreConfig::broadwell(),

@@ -1,6 +1,8 @@
 //! Tentpole oracle for the capture-once / simulate-many pipeline: a
 //! characterization derived from a persisted probe event stream must be
-//! **bit-identical** to the fused live path — not approximately equal.
+//! **bit-identical** to a fused live encode (the core model attached as
+//! the encoder's probe, no stream in between; `characterize_live`) —
+//! not approximately equal.
 //! Every optimization in the replay loop (batched chunk drains, cached
 //! per-kernel scalars, the incremental fetch walk, cache way hints) is
 //! licensed by these tests.
@@ -15,11 +17,13 @@ use vstress::bpred::Tage;
 use vstress::cache::HierarchyConfig;
 use vstress::codecs::{CodecId, Encoder};
 use vstress::pipeline::{CoreConfig, CoreModel};
+use vstress::runtime::cycles_to_seconds;
 use vstress::trace::stream::chunk_channel;
-use vstress::trace::BranchWindowProbe;
+use vstress::trace::{BranchWindowProbe, CountingProbe, TeeProbe};
+use vstress::video::Clip;
 use vstress::workbench::{
-    capture_encode_with, characterize_clip, characterize_from_capture, clip_for, equivalent_params,
-    run_from_parts, RunSpec,
+    capture_encode_with, characterize_from_capture, clip_for, equivalent_params, run_from_parts,
+    CharacterizationRun, RunSpec,
 };
 
 /// Every codec family the workbench models, at the same quality point.
@@ -27,6 +31,32 @@ const CODECS: [CodecId; 4] = [CodecId::SvtAv1, CodecId::X264, CodecId::X265, Cod
 
 fn spec_for(codec: CodecId) -> RunSpec {
     RunSpec::quick("cat", codec, equivalent_params(codec, 35, 4))
+}
+
+/// The live oracle: one encode with a counting probe and a fresh core
+/// model both attached through a `TeeProbe`, so every event reaches the
+/// simulator directly — no recording, packing or replay in between.
+fn characterize_live(spec: &RunSpec, clip: &Clip) -> CharacterizationRun {
+    let encoder = Encoder::new(spec.codec, spec.params).unwrap();
+    let mut probe =
+        TeeProbe::new(CountingProbe::new(), CoreModel::broadwell_scaled(spec.cache_divisor));
+    let out =
+        encoder.encode_threaded(clip, &mut probe, spec.tile_workers, spec.frame_workers).unwrap();
+    let (counting, core) = probe.into_parts();
+    let report = core.into_report();
+    CharacterizationRun {
+        codec: spec.codec,
+        params: spec.params,
+        clip: clip.name().to_owned(),
+        mix: counting.mix(),
+        profile: counting.profile().clone(),
+        seconds: cycles_to_seconds(report.cycles),
+        core: report,
+        mean_psnr: out.mean_psnr(),
+        bitrate_kbps: out.bitrate_kbps,
+        total_bits: out.total_bits(),
+        tasks: out.tasks,
+    }
 }
 
 /// The tentpole guarantee: for every codec family, replaying a captured
@@ -38,7 +68,7 @@ fn capture_replay_is_bit_identical_to_live_for_every_codec() {
     for codec in CODECS {
         let spec = spec_for(codec);
         let clip = clip_for(&spec).unwrap();
-        let live = characterize_clip(&spec, &clip).unwrap();
+        let live = characterize_live(&spec, &clip);
         let cap = capture_encode_with(&spec, &clip, None).unwrap();
         let replayed = characterize_from_capture(&spec, &cap);
         assert_eq!(live, replayed, "{codec:?}: replay diverged from live");
