@@ -9,10 +9,14 @@
 //! vstress-repro --tile-workers 4   # intra-encode tile/wavefront threads
 //! vstress-repro --frame-workers 4  # cross-frame pipeline depth
 //! vstress-repro --store cache/     # persist results; repeat runs resume
-//! vstress-repro --time             # per-experiment wall clock on stderr
+//! vstress-repro --time             # plan + per-experiment wall clock on stderr
 //! vstress-repro fig01 fig05        # subset of experiments
 //! vstress-repro --store cache/ store-stats   # store maintenance report
 //! ```
+//!
+//! Every wanted experiment's run-cache requests run first, as one plan
+//! grouped by encode point that frees each event stream after its last
+//! use; the runners then only read memos and format tables.
 //!
 //! With `--store DIR`, completed characterization runs (and branch
 //! windows / decode-cost pairs) persist under `DIR`, so an interrupted
@@ -25,11 +29,9 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Instant;
 use vstress::cli::{self, FlagSpec};
-use vstress::experiments::{
-    catalogue, cbp, crf_sweep, decode_cost, mix, preset_sweep, profile, runtime_quality, threads,
-    ExperimentConfig,
-};
+use vstress::experiments::{self, ExperimentConfig, EXPERIMENTS};
 use vstress::{RunStore, Table};
 
 /// Every flag this binary accepts; anything else `--`-prefixed is a
@@ -37,7 +39,7 @@ use vstress::{RunStore, Table};
 const FLAGS: &[FlagSpec] = &[
     FlagSpec::switch("--quick", "quick profile (the default, spelled out)"),
     FlagSpec::switch("--paper", "full profile (slow; behind EXPERIMENTS.md)"),
-    FlagSpec::switch("--time", "per-experiment wall clock on stderr"),
+    FlagSpec::switch("--time", "plan and per-experiment wall clock on stderr"),
     FlagSpec::value("--csv", "DIR", "also write each table as CSV into DIR"),
     FlagSpec::value("--threads", "N", "encode worker pool size (positive)"),
     FlagSpec::value("--tile-workers", "N", "tile/wavefront threads per encode (positive)"),
@@ -53,37 +55,18 @@ fn usage_error(e: &cli::CliError) -> ! {
     std::process::exit(cli::USAGE_EXIT.into());
 }
 
-/// Every experiment id accepted as a positional argument.
-///
 /// `store-stats` is a maintenance report, not an experiment: it prints
 /// the attached store's on-disk footprint (entries and bytes per kind,
-/// plus quarantined files) and runs **only when explicitly named**, so
-/// the default experiment set's stdout stays byte-comparable.
-const EXPERIMENT_IDS: &[&str] = &[
-    "table1",
-    "fig01",
-    "fig02",
-    "fig02a",
-    "fig02b",
-    "table2",
-    "fig03",
-    "fig04",
-    "fig05",
-    "fig06",
-    "fig07",
-    "fig08",
-    "fig09",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "decode",
-    "profile",
-    "store-stats",
-];
+/// plus quarantined files) after the experiments, and runs **only when
+/// explicitly named**, so the default experiment set's stdout stays
+/// byte-comparable.
+const STORE_STATS: &str = "store-stats";
+
+/// Every id accepted as a positional argument: the experiments', then
+/// `store-stats`.
+fn valid_ids() -> impl Iterator<Item = &'static str> {
+    EXPERIMENTS.iter().flat_map(|e| e.ids.iter().copied()).chain([STORE_STATS])
+}
 
 /// Prints a table and optionally mirrors it to `<csv_dir>/<slug>.csv`.
 ///
@@ -99,117 +82,44 @@ fn emit(csv_dir: &Option<PathBuf>, slug: &str, table: &Table) -> std::io::Result
     Ok(())
 }
 
-/// Runs one experiment body, reporting its wall clock on stderr when
-/// `--time` is set. Stdout carries only the tables either way, so runs
-/// stay byte-comparable.
-fn timed(
-    enabled: bool,
-    id: &str,
-    body: impl FnOnce() -> std::io::Result<()>,
-) -> std::io::Result<()> {
-    let t0 = std::time::Instant::now();
-    let r = body();
+/// Reports a step's wall clock on stderr when `--time` is set. Stdout
+/// carries only the tables either way, so runs stay byte-comparable.
+fn report_time(enabled: bool, id: &str, t0: Instant) {
     if enabled {
         eprintln!("vstress-repro: [time] {id}: {:.3}s", t0.elapsed().as_secs_f64());
     }
-    r
 }
 
+fn csv_error(e: std::io::Error) -> String {
+    format!("could not write CSV: {e}")
+}
+
+/// Computes every wanted experiment's requests as one plan (each event
+/// stream is freed after its last use), then runs the experiments
+/// against the warm memos and prints their tables.
 fn run(
     cfg: &ExperimentConfig,
     want: impl Fn(&str) -> bool,
     csv_dir: &Option<PathBuf>,
     time: bool,
-) -> std::io::Result<()> {
-    if want("table1") {
-        timed(time, "table1", || emit(csv_dir, "table1", &catalogue::table1_vbench()))?;
-    }
-    if want("fig01") {
-        timed(time, "fig01", || {
-            let (t, _) = runtime_quality::fig01_runtime_vs_crf(cfg).expect("fig01");
-            emit(csv_dir, "fig01", &t)
-        })?;
-    }
-    if want("fig02") || want("fig02a") || want("fig02b") {
-        timed(time, "fig02", || {
-            let (t, _) = runtime_quality::fig02a_bdrate(cfg).expect("fig02a");
-            emit(csv_dir, "fig02a", &t)?;
-            emit(csv_dir, "fig02b", &runtime_quality::fig02b_psnr_vs_time(cfg).expect("fig02b"))
-        })?;
-    }
-    if want("table2") {
-        timed(time, "table2", || {
-            emit(csv_dir, "table2", &mix::table2_instruction_mix(cfg).expect("table2"))
-        })?;
-    }
-    if want("fig03") {
-        timed(time, "fig03", || {
-            emit(csv_dir, "fig03", &mix::fig03_opmix_sweep(cfg).expect("fig03"))
-        })?;
-    }
-    if want("fig04") || want("fig05") || want("fig06") || want("fig07") {
-        timed(time, "fig04-07", || {
-            let points = crf_sweep::crf_sweep(cfg).expect("crf sweep");
-            emit(csv_dir, "fig04", &crf_sweep::fig04_crf_sweep(&points))?;
-            emit(csv_dir, "fig05", &crf_sweep::fig05_topdown(&points))?;
-            emit(csv_dir, "fig06", &crf_sweep::fig06_microarch(&points))?;
-            emit(csv_dir, "fig07", &crf_sweep::fig07_missrate(&points))
-        })?;
-    }
-    if want("fig08") {
-        timed(time, "fig08", || {
-            let (t, _) = cbp::fig08_cbp(cfg).expect("fig08");
-            emit(csv_dir, "fig08", &t)
-        })?;
-    }
-    if want("fig09") {
-        timed(time, "fig09", || {
-            let (t, _) = cbp::fig09_cbp(cfg).expect("fig09");
-            emit(csv_dir, "fig09", &t)
-        })?;
-    }
-    if want("fig10") {
-        timed(time, "fig10", || {
-            let (t, _) = cbp::fig10_cbp(cfg).expect("fig10");
-            emit(csv_dir, "fig10", &t)
-        })?;
-    }
-    if want("fig11") {
-        timed(time, "fig11", || {
-            let points = preset_sweep::preset_sweep(cfg).expect("fig11");
-            emit(csv_dir, "fig11ab", &preset_sweep::fig11ab_runtime_quality(&points))?;
-            emit(csv_dir, "fig11cde", &preset_sweep::fig11cde_microarch(&points))
-        })?;
-    }
-    if want("fig12") || want("fig13") || want("fig14") || want("fig15") {
-        timed(time, "fig12-15", || {
-            let (tables, _) = threads::fig12_15_thread_scaling(cfg).expect("fig12-15");
-            for (i, t) in tables.iter().enumerate() {
-                emit(csv_dir, &format!("fig{}", 12 + i), t)?;
-            }
-            Ok(())
-        })?;
-    }
-    if want("fig16") {
-        timed(time, "fig16", || {
-            emit(csv_dir, "fig16", &threads::fig16_topdown_threads(cfg).expect("fig16"))
-        })?;
-    }
-    if want("decode") {
-        timed(time, "decode", || {
-            let (t, _) = decode_cost::table_decode_vs_encode(cfg).expect("decode cost");
-            emit(csv_dir, "decode_cost", &t)
-        })?;
-    }
-    if want("store-stats") {
-        if let Some(store) = cfg.cache.store() {
-            timed(time, "store-stats", || emit(csv_dir, "store_stats", &store_stats_table(store)))?;
+) -> Result<(), String> {
+    let t0 = Instant::now();
+    let plan = experiments::plan(cfg, &want);
+    cfg.cache.run_plan(cfg.threads, &plan).map_err(|e| e.to_string())?;
+    report_time(time, "plan", t0);
+    for e in EXPERIMENTS.iter().filter(|e| e.ids.iter().any(|id| want(id))) {
+        let t0 = Instant::now();
+        for (slug, table) in (e.run)(cfg).map_err(|e| e.to_string())? {
+            emit(csv_dir, &slug, &table).map_err(csv_error)?;
         }
+        report_time(time, e.name, t0);
     }
-    if want("profile") {
-        timed(time, "profile", || {
-            emit(csv_dir, "hot_kernels", &profile::table_hot_kernels(cfg).expect("profile"))
-        })?;
+    if want(STORE_STATS) {
+        if let Some(store) = cfg.cache.store() {
+            let t0 = Instant::now();
+            emit(csv_dir, "store_stats", &store_stats_table(store)).map_err(csv_error)?;
+            report_time(time, STORE_STATS, t0);
+        }
     }
     Ok(())
 }
@@ -269,12 +179,12 @@ fn main() {
     let store_dir: Option<PathBuf> =
         if parsed.switch("--no-store") { None } else { parsed.value("--store").map(PathBuf::from) };
     let unknown: Vec<&String> =
-        parsed.positionals.iter().filter(|p| !EXPERIMENT_IDS.contains(&p.as_str())).collect();
+        parsed.positionals.iter().filter(|p| !valid_ids().any(|id| id == p.as_str())).collect();
     if !unknown.is_empty() {
         for u in &unknown {
             eprintln!("unknown experiment: {u}");
         }
-        eprintln!("valid experiments: {}", EXPERIMENT_IDS.join(" "));
+        eprintln!("valid experiments: {}", valid_ids().collect::<Vec<_>>().join(" "));
         std::process::exit(cli::USAGE_EXIT.into());
     }
     let wanted: BTreeSet<String> = parsed.positionals.into_iter().collect();
@@ -298,12 +208,12 @@ fn main() {
         }
     }
     // `store-stats` only runs when explicitly named and needs a store.
-    if wanted.contains("store-stats") && store_dir.is_none() {
+    if wanted.contains(STORE_STATS) && store_dir.is_none() {
         eprintln!("store-stats requires --store DIR");
         std::process::exit(cli::USAGE_EXIT.into());
     }
     let run_all = wanted.is_empty();
-    let want = |id: &str| (run_all && id != "store-stats") || wanted.contains(id);
+    let want = |id: &str| (run_all && id != STORE_STATS) || wanted.contains(id);
 
     eprintln!(
         "vstress-repro: profile = {}, threads = {}, clips = {:?}",
@@ -324,12 +234,12 @@ fn main() {
             s.store_hits, s.store_misses, s.store_quarantined
         );
         eprintln!(
-            "vstress-repro: work {} encodes, {} stream captures",
-            s.encodes, s.stream_captures
+            "vstress-repro: work {} encodes, {} stream captures, {} captures evicted",
+            s.encodes, s.stream_captures, s.captures_evicted
         );
     }
     if let Err(e) = result {
-        eprintln!("error: could not write CSV: {e}");
+        eprintln!("error: {e}");
         std::process::exit(1);
     }
 }

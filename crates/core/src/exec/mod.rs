@@ -29,6 +29,11 @@
 //!   pairs; the encode side reads the capture's mix, the decode side
 //!   decodes the capture's bitstream.
 //!
+//! [`RunCache::run_plan`] runs a whole batch of [`Request`]s grouped
+//! by encode point and drops each capture as soon as its group is done,
+//! so a planned process holds only the streams its workers are using;
+//! without a plan, captures live as long as the cache.
+//!
 //! Attaching a persistent [`store::RunStore`] (see
 //! [`RunCache::with_store`]) extends the capture, run, window and cost
 //! layers across processes: a repeated or interrupted
@@ -62,7 +67,7 @@ use store::{KIND_COST, KIND_RUN, KIND_STREAM, KIND_WINDOW};
 use vstress_codecs::batch::run_ordered;
 use vstress_codecs::{CodecId, Decoder, EncoderParams};
 use vstress_pipeline::CoreModel;
-use vstress_trace::stream::chunk_channel;
+use vstress_trace::stream::{chunk_channel, decode_chunk};
 use vstress_trace::{BranchRecord, BranchWindowProbe, ChunkTx, CountingProbe};
 use vstress_video::vbench::FidelityConfig;
 use vstress_video::Clip;
@@ -297,6 +302,43 @@ fn memo<K: Eq + Hash + Clone, V>(
     }
 }
 
+/// One result a runner will ask the cache for — the unit of a plan
+/// (see [`RunCache::run_plan`]).
+#[derive(Debug, Clone)]
+pub enum Request {
+    /// A characterization run ([`RunCache::run`]).
+    Run(RunSpec),
+    /// A CBP branch window of the given length ([`RunCache::branch_window`]).
+    Window(RunSpec, u64),
+    /// An encode/decode cost pair ([`RunCache::encode_decode_cost`]).
+    Cost(RunSpec),
+}
+
+impl Request {
+    /// The spec whose encode point the request reads.
+    pub fn spec(&self) -> &RunSpec {
+        match self {
+            Request::Run(spec) | Request::Window(spec, _) | Request::Cost(spec) => spec,
+        }
+    }
+
+    /// Computes (or looks up) the requested result, discarding it: the
+    /// memo keeps it for the runner that asks next.
+    fn fill(&self, cache: &RunCache) -> Result<(), WorkbenchError> {
+        match self {
+            Request::Run(spec) => cache.run(spec).map(drop),
+            Request::Window(spec, window) => cache.branch_window(spec, *window).map(drop),
+            Request::Cost(spec) => cache.encode_decode_cost(spec).map(drop),
+        }
+    }
+
+    /// A pipeline run: the one request whose recording encode overlaps
+    /// the core model, so a group runs it first.
+    fn is_pipeline_run(&self) -> bool {
+        matches!(self, Request::Run(spec) if spec.model_pipeline)
+    }
+}
+
 /// Hit/miss counters for the cache layers and the optional persistent
 /// store (test observability — a hit proves no re-encode happened).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -332,6 +374,9 @@ pub struct RunCacheStats {
     /// memory or the store). Equal to [`RunCacheStats::encodes`] today;
     /// kept separate so warm-store assertions name the thing they mean.
     pub stream_captures: u64,
+    /// Captures dropped from memory by [`RunCache::run_plan`] once their
+    /// group was done.
+    pub captures_evicted: u64,
     /// Persistent-store hits (entries loaded from disk; no work done).
     pub store_hits: u64,
     /// Persistent-store misses (entries computed and written back).
@@ -370,6 +415,7 @@ pub struct RunCache {
     capture_misses: AtomicU64,
     encodes: AtomicU64,
     stream_captures: AtomicU64,
+    captures_evicted: AtomicU64,
 }
 
 impl std::fmt::Debug for RunCache {
@@ -413,6 +459,7 @@ impl RunCache {
             capture_misses: self.capture_misses.load(Ordering::Relaxed),
             encodes: self.encodes.load(Ordering::Relaxed),
             stream_captures: self.stream_captures.load(Ordering::Relaxed),
+            captures_evicted: self.captures_evicted.load(Ordering::Relaxed),
             store_hits: store.hits,
             store_misses: store.misses,
             store_quarantined: store.quarantined,
@@ -544,6 +591,7 @@ impl RunCache {
     /// configuration: a centered window of at most `window` instructions
     /// sliced out of the shared capture's event stream — no dedicated
     /// encode pass, and zero encodes when the stream is store-served.
+    /// The replay stops at the chunk that completes the window.
     ///
     /// # Errors
     ///
@@ -565,7 +613,14 @@ impl RunCache {
                 let cap = self.capture(spec, None)?;
                 let total = cap.mix.total();
                 let mut probe = BranchWindowProbe::mid_run(total, window.min(total));
-                cap.stream.replay(&mut probe);
+                // The probe ignores every event past the window, so the
+                // replay stops after the chunk that completes it.
+                for chunk in cap.stream.chunks() {
+                    decode_chunk(chunk, &mut probe);
+                    if probe.is_complete() {
+                        break;
+                    }
+                }
                 let captured = probe.window_retired().max(1);
                 Ok(BranchWindow { records: probe.into_records().into(), instructions: captured })
             })
@@ -596,6 +651,61 @@ impl RunCache {
                 })
             })
         })
+    }
+
+    /// Computes every request of `plan` into the run, window and cost
+    /// memos, one encode point at a time, so runners asking afterwards
+    /// only hit memos.
+    ///
+    /// Requests are grouped by encode point (the capture they read) in
+    /// first-use order, and the groups run on up to `threads` workers.
+    /// A group runs its pipeline runs first — so a recording encode
+    /// still overlaps the core model — then its counting runs, windows
+    /// and costs, and then drops its capture from memory: a planned
+    /// process holds at most one stream per worker instead of every
+    /// stream it ever touched. A capture a later request still needs is
+    /// reloaded from the store or re-encoded, so a plan must list every
+    /// request of an encode point.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first failing group's [`WorkbenchError`] (groups in
+    /// first-use order); workers stop claiming groups once one fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads` is zero.
+    pub fn run_plan(&self, threads: usize, plan: &[Request]) -> Result<(), WorkbenchError> {
+        let mut groups: Vec<Vec<&Request>> = Vec::new();
+        let mut group_of: HashMap<CaptureKey, usize> = HashMap::new();
+        for request in plan {
+            let g = *group_of.entry(CaptureKey::of(request.spec())).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[g].push(request);
+        }
+        for group in &mut groups {
+            // Stable: pipeline runs first, the rest in plan order.
+            group.sort_by_key(|r| !r.is_pipeline_run());
+        }
+        run_ordered(groups.len(), threads, |g| {
+            let group = &groups[g];
+            let filled = group.iter().try_for_each(|r| r.fill(self));
+            self.evict_capture(&CaptureKey::of(group[0].spec()));
+            filled
+        })?;
+        Ok(())
+    }
+
+    /// Drops the capture of `key` from the memo, counting it if one was
+    /// held.
+    fn evict_capture(&self, key: &CaptureKey) {
+        let Some(slot) = lock_unpoisoned(&self.captures).remove(key) else { return };
+        let held = lock_unpoisoned(&slot).is_some();
+        if held {
+            self.captures_evicted.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -708,6 +818,60 @@ mod tests {
         let v = memo(&map, &hits, &misses, 7u32, || unreachable!("must hit")).unwrap();
         assert_eq!(*v, 5);
         assert_eq!(hits.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn run_plan_fills_every_memo_and_frees_each_capture() {
+        let other = RunSpec::quick("cat", CodecId::X264, EncoderParams::new(45, 5));
+        let plan = [
+            Request::Run(spec().counting_only()),
+            Request::Window(other.clone(), 10_000),
+            Request::Run(spec()),
+            Request::Cost(spec().counting_only()),
+            Request::Run(other.clone()),
+        ];
+        let cache = RunCache::new();
+        cache.run_plan(2, &plan).unwrap();
+        let s = cache.stats();
+        assert_eq!((s.encodes, s.captures_evicted), (2, 2));
+        assert!(cache.captures.lock().unwrap().is_empty(), "the capture memo must end empty");
+        assert_eq!((s.run_misses, s.window_misses, s.cost_misses), (3, 1, 1));
+        // Planned results equal unplanned ones, and the runners' lookups hit.
+        let fresh = RunCache::new();
+        assert_eq!(*cache.run(&spec()).unwrap(), *fresh.run(&spec()).unwrap());
+        cache.branch_window(&other, 10_000).unwrap();
+        cache.encode_decode_cost(&spec().counting_only()).unwrap();
+        assert_eq!(cache.stats().encodes, 2, "planned results are memo hits");
+    }
+
+    #[test]
+    fn run_plan_returns_a_failing_requests_error() {
+        let bad = RunSpec::quick("no-such-clip", CodecId::X264, EncoderParams::new(30, 5));
+        let plan = [Request::Run(spec().counting_only()), Request::Cost(bad)];
+        let cache = RunCache::new();
+        let err = cache.run_plan(2, &plan).unwrap_err();
+        assert!(
+            matches!(&err, WorkbenchError::Video(vstress_video::VideoError::UnknownClip(c)) if c == "no-such-clip"),
+            "{err}"
+        );
+        assert!(cache.captures.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn window_replay_stops_early_without_changing_the_window() {
+        let spec = RunSpec::quick("cat", CodecId::SvtAv1, EncoderParams::new(35, 6));
+        let cache = RunCache::new();
+        let cap = cache.capture(&spec, None).unwrap();
+        let chunks = cap.stream.chunks().len();
+        assert!(chunks > 2, "{chunks} chunks: too few to stop early");
+        let total = cap.mix.total();
+        for window in [1_000, total / 3, total] {
+            let mut full = BranchWindowProbe::mid_run(total, window.min(total));
+            cap.stream.replay(&mut full);
+            let early = cache.branch_window(&spec, window).unwrap();
+            assert_eq!(early.instructions, full.window_retired().max(1), "window {window}");
+            assert_eq!(&early.records[..], full.records(), "window {window}");
+        }
     }
 
     #[test]

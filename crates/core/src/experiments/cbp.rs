@@ -7,10 +7,8 @@
 //! TAGE at 8 KB and 64 KB.
 
 use super::ExperimentConfig;
-use crate::exec::BranchWindow;
 use crate::table::{f1, f2, Table};
-use crate::workbench::WorkbenchError;
-use std::sync::Arc;
+use crate::workbench::{RunSpec, WorkbenchError};
 use vstress_bpred::{harness, BranchPredictor, Gshare, Tage};
 use vstress_codecs::{CodecId, EncoderParams};
 
@@ -25,18 +23,17 @@ pub struct CbpRow {
     pub predictors: Vec<(String, f64, f64)>,
 }
 
-/// Captures the mid-run branch window of one encode, via the config's
-/// window cache (the counting pre-pass that places the window is shared
-/// with any counting-only characterization of the same spec). The
-/// returned handle shares the cached records — an `Arc` bump, not a
-/// copy of the record vector.
-fn capture_window(
-    cfg: &ExperimentConfig,
-    clip_name: &'static str,
-    params: EncoderParams,
-) -> Result<Arc<BranchWindow>, WorkbenchError> {
-    let spec = cfg.spec(clip_name, CodecId::SvtAv1, params);
-    cfg.cache.branch_window(&spec, cfg.cbp_window)
+/// The (preset, CRF) trace points of Figs. 8, 9 and 10.
+pub const TRACE_POINTS: [(u8, u8); 3] = [(8, 63), (4, 10), (4, 60)];
+
+/// The CBP study's window specs at one (preset, CRF) trace point: one
+/// SVT-AV1 encode per configured clip, each windowed at
+/// [`ExperimentConfig::cbp_window`] instructions.
+pub fn window_specs(cfg: &ExperimentConfig, preset: u8, crf: u8) -> Vec<RunSpec> {
+    cfg.clips
+        .iter()
+        .map(|&clip| cfg.spec(clip, CodecId::SvtAv1, EncoderParams::new(crf, preset)))
+        .collect()
 }
 
 /// Number of predictor configurations the paper simulates.
@@ -91,20 +88,22 @@ pub fn cbp_study(
     // same `Arc`-shared record buffer (the first job computes it, the
     // other three block briefly on the memo slot instead of recapturing).
     let n = PAPER_PREDICTOR_COUNT;
+    let specs = window_specs(cfg, preset, crf);
     let matrix = vstress_codecs::batch::run_ordered(
-        cfg.clips.len() * n,
+        specs.len() * n,
         cfg.threads,
         |i| -> Result<(String, harness::BpredStats), WorkbenchError> {
-            let clip_name = cfg.clips[i / n];
-            let window = capture_window(cfg, clip_name, EncoderParams::new(crf, preset))?;
+            // The window cache hands out the shared records (an `Arc`
+            // bump, not a copy of the record vector).
+            let window = cfg.cache.branch_window(&specs[i / n], cfg.cbp_window)?;
             let mut p = paper_predictor(i % n);
             let stats = harness::run_with_window(&mut p, &window.records, window.instructions);
             Ok((p.label(), stats))
         },
     )?;
     let mut rows = Vec::new();
-    for (ci, clip_results) in matrix.chunks(n).enumerate() {
-        let clip_name = cfg.clips[ci];
+    for (spec, clip_results) in specs.iter().zip(matrix.chunks(n)) {
+        let clip_name = spec.clip;
         // Every predictor replayed the same window, so any job's branch
         // count is the clip's window size.
         let branches = clip_results[0].1.branches;
@@ -127,7 +126,8 @@ pub fn cbp_study(
 ///
 /// Propagates [`WorkbenchError`] from any failing encode.
 pub fn fig08_cbp(cfg: &ExperimentConfig) -> Result<(Table, Vec<CbpRow>), WorkbenchError> {
-    cbp_study(cfg, 8, 63)
+    let (preset, crf) = TRACE_POINTS[0];
+    cbp_study(cfg, preset, crf)
 }
 
 /// Fig. 9 — traces from preset 4, CRF 10.
@@ -136,7 +136,8 @@ pub fn fig08_cbp(cfg: &ExperimentConfig) -> Result<(Table, Vec<CbpRow>), Workben
 ///
 /// Propagates [`WorkbenchError`] from any failing encode.
 pub fn fig09_cbp(cfg: &ExperimentConfig) -> Result<(Table, Vec<CbpRow>), WorkbenchError> {
-    cbp_study(cfg, 4, 10)
+    let (preset, crf) = TRACE_POINTS[1];
+    cbp_study(cfg, preset, crf)
 }
 
 /// Fig. 10 — traces from preset 4, CRF 60.
@@ -145,12 +146,14 @@ pub fn fig09_cbp(cfg: &ExperimentConfig) -> Result<(Table, Vec<CbpRow>), Workben
 ///
 /// Propagates [`WorkbenchError`] from any failing encode.
 pub fn fig10_cbp(cfg: &ExperimentConfig) -> Result<(Table, Vec<CbpRow>), WorkbenchError> {
-    cbp_study(cfg, 4, 60)
+    let (preset, crf) = TRACE_POINTS[2];
+    cbp_study(cfg, preset, crf)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn tiny_cfg() -> ExperimentConfig {
         // Texture-rich clips give the window enough branch volume to warm
@@ -191,8 +194,9 @@ mod tests {
     #[test]
     fn window_capture_is_reproducible() {
         let cfg = tiny_cfg();
-        let a = capture_window(&cfg, "game2", EncoderParams::new(63, 8)).unwrap();
-        let b = capture_window(&cfg, "game2", EncoderParams::new(63, 8)).unwrap();
+        let spec = cfg.spec("game2", CodecId::SvtAv1, EncoderParams::new(63, 8));
+        let a = cfg.cache.branch_window(&spec, cfg.cbp_window).unwrap();
+        let b = cfg.cache.branch_window(&spec, cfg.cbp_window).unwrap();
         assert_eq!(a.records, b.records, "branch windows must be deterministic");
         assert_eq!(a.instructions, b.instructions);
         // The two handles share one cached allocation — the whole point

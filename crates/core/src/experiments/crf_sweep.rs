@@ -7,7 +7,7 @@
 
 use super::ExperimentConfig;
 use crate::table::{f1, f2, f3, Table};
-use crate::workbench::{CharacterizationRun, WorkbenchError};
+use crate::workbench::{CharacterizationRun, RunSpec, WorkbenchError};
 use vstress_codecs::{CodecId, EncoderParams};
 
 /// One (clip, crf) sweep sample.
@@ -21,25 +21,35 @@ pub struct SweepPoint {
     pub run: CharacterizationRun,
 }
 
+/// The CRF sweep's specs: SVT-AV1 preset 4 at every CRF point on every
+/// configured clip, clip-major.
+pub fn crf_sweep_specs(cfg: &ExperimentConfig) -> Vec<RunSpec> {
+    cfg.clips
+        .iter()
+        .flat_map(|&clip| {
+            cfg.crf_points
+                .iter()
+                .map(move |&crf| cfg.spec(clip, CodecId::SvtAv1, EncoderParams::new(crf, 4)))
+        })
+        .collect()
+}
+
 /// Runs the SVT-AV1 preset-4 CRF sweep over the configured clips.
 ///
 /// # Errors
 ///
 /// Propagates [`WorkbenchError`] from any failing encode.
 pub fn crf_sweep(cfg: &ExperimentConfig) -> Result<Vec<SweepPoint>, WorkbenchError> {
-    let mut points = Vec::new();
-    let mut specs = Vec::new();
-    for &clip_name in &cfg.clips {
-        for &crf in &cfg.crf_points {
-            points.push((clip_name, crf));
-            specs.push(cfg.spec(clip_name, CodecId::SvtAv1, EncoderParams::new(crf, 4)));
-        }
-    }
+    let specs = crf_sweep_specs(cfg);
     let runs = cfg.run_specs(&specs)?;
-    Ok(points
-        .into_iter()
+    Ok(specs
+        .iter()
         .zip(runs)
-        .map(|((clip, crf), run)| SweepPoint { clip: clip.to_owned(), crf, run: (*run).clone() })
+        .map(|(spec, run)| SweepPoint {
+            clip: spec.clip.to_owned(),
+            crf: spec.params.crf,
+            run: (*run).clone(),
+        })
         .collect())
 }
 

@@ -9,7 +9,7 @@
 
 use super::ExperimentConfig;
 use crate::table::{f1, sci, Table};
-use crate::workbench::{equivalent_params, WorkbenchError};
+use crate::workbench::{equivalent_params, RunSpec, WorkbenchError};
 use vstress_codecs::CodecId;
 
 /// One codec's encode/decode instruction costs.
@@ -30,6 +30,16 @@ impl DecodeCostRow {
     }
 }
 
+/// The decode-cost study's specs: every codec, counting only, at the
+/// CRF-35 preset-4 equivalent on the headline clip.
+pub fn cost_specs(cfg: &ExperimentConfig) -> Vec<RunSpec> {
+    CodecId::ALL
+        .map(|codec| {
+            cfg.spec(cfg.headline_clip, codec, equivalent_params(codec, 35, 4)).counting_only()
+        })
+        .to_vec()
+}
+
 /// Measures encode vs decode instruction counts for all five codecs on
 /// the headline clip.
 ///
@@ -47,16 +57,14 @@ pub fn table_decode_vs_encode(
     // through the cache's cost layer means a persistent store serves
     // repeat runs without re-encoding (the clip is only synthesized on
     // a store miss).
+    let specs = cost_specs(cfg);
     let rows = vstress_codecs::batch::run_ordered(
-        CodecId::ALL.len(),
+        specs.len(),
         cfg.threads,
         |i| -> Result<DecodeCostRow, WorkbenchError> {
-            let codec = CodecId::ALL[i];
-            let params = equivalent_params(codec, 35, 4);
-            let spec = cfg.spec(cfg.headline_clip, codec, params).counting_only();
-            let cost = cfg.cache.encode_decode_cost(&spec)?;
+            let cost = cfg.cache.encode_decode_cost(&specs[i])?;
             Ok(DecodeCostRow {
-                codec,
+                codec: specs[i].codec,
                 encode_instructions: cost.encode_instructions,
                 decode_instructions: cost.decode_instructions,
             })

@@ -1,10 +1,25 @@
 //! Table 2 and Fig. 3 — instruction-mix analyses.
 
+use super::crf_sweep::crf_sweep_specs;
 use super::ExperimentConfig;
 use crate::table::{f1, sci, Table};
-use crate::workbench::WorkbenchError;
+use crate::workbench::{RunSpec, WorkbenchError};
 use vstress_codecs::{CodecId, EncoderParams};
 use vstress_trace::OpClass;
+
+/// Table 2's specs: counting-only SVT-AV1 at preset 8, CRF 63 on every
+/// configured clip.
+pub fn table2_specs(cfg: &ExperimentConfig) -> Vec<RunSpec> {
+    cfg.clips
+        .iter()
+        .map(|&clip| cfg.spec(clip, CodecId::SvtAv1, EncoderParams::new(63, 8)).counting_only())
+        .collect()
+}
+
+/// Fig. 3's specs: the CRF sweep's points, counting only.
+pub fn fig03_specs(cfg: &ExperimentConfig) -> Vec<RunSpec> {
+    crf_sweep_specs(cfg).into_iter().map(RunSpec::counting_only).collect()
+}
 
 /// Table 2 — instruction mix of SVT-AV1 per clip at preset 8, CRF 63
 /// (the paper's exact configuration).
@@ -17,16 +32,12 @@ pub fn table2_instruction_mix(cfg: &ExperimentConfig) -> Result<Table, Workbench
         "Table 2 — instruction mix in % (SVT-AV1, preset 8, CRF 63)",
         &["Video", "# Insts.", "Branch", "Load", "Store", "AVX", "SSE", "Other"],
     );
-    let specs: Vec<_> = cfg
-        .clips
-        .iter()
-        .map(|&clip| cfg.spec(clip, CodecId::SvtAv1, EncoderParams::new(63, 8)).counting_only())
-        .collect();
+    let specs = table2_specs(cfg);
     let runs = cfg.run_specs(&specs)?;
-    for (&clip_name, run) in cfg.clips.iter().zip(runs) {
+    for (spec, run) in specs.iter().zip(runs) {
         let m = run.mix;
         table.push_row(vec![
-            clip_name.to_owned(),
+            spec.clip.to_owned(),
             sci(m.total()),
             f1(m.percent(OpClass::Branch)),
             f1(m.percent(OpClass::Load)),
@@ -49,22 +60,13 @@ pub fn fig03_opmix_sweep(cfg: &ExperimentConfig) -> Result<Table, WorkbenchError
         "Fig. 3 — op mix vs CRF (SVT-AV1, preset 4)",
         &["Video", "CRF", "Branch", "Load", "Store", "AVX", "SSE", "Other"],
     );
-    let mut grid = Vec::new();
-    let mut specs = Vec::new();
-    for &clip_name in &cfg.clips {
-        for &crf in &cfg.crf_points {
-            grid.push((clip_name, crf));
-            specs.push(
-                cfg.spec(clip_name, CodecId::SvtAv1, EncoderParams::new(crf, 4)).counting_only(),
-            );
-        }
-    }
+    let specs = fig03_specs(cfg);
     let runs = cfg.run_specs(&specs)?;
-    for ((clip_name, crf), run) in grid.into_iter().zip(runs) {
+    for (spec, run) in specs.iter().zip(runs) {
         let m = run.mix;
         table.push_row(vec![
-            clip_name.to_owned(),
-            crf.to_string(),
+            spec.clip.to_owned(),
+            spec.params.crf.to_string(),
             f1(m.percent(OpClass::Branch)),
             f1(m.percent(OpClass::Load)),
             f1(m.percent(OpClass::Store)),

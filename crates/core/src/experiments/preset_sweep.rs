@@ -2,7 +2,7 @@
 
 use super::ExperimentConfig;
 use crate::table::{f1, f2, f3, Table};
-use crate::workbench::{CharacterizationRun, WorkbenchError};
+use crate::workbench::{CharacterizationRun, RunSpec, WorkbenchError};
 use vstress_codecs::{CodecId, EncoderParams};
 
 /// Fixed CRF used by the preset sweep (the paper holds CRF constant).
@@ -17,25 +17,29 @@ pub struct PresetPoint {
     pub run: CharacterizationRun,
 }
 
+/// The preset sweep's specs: SVT-AV1 at [`SWEEP_CRF`] and every preset
+/// point on the headline clip.
+pub fn preset_sweep_specs(cfg: &ExperimentConfig) -> Vec<RunSpec> {
+    cfg.preset_points
+        .iter()
+        .map(|&preset| {
+            cfg.spec(cfg.headline_clip, CodecId::SvtAv1, EncoderParams::new(SWEEP_CRF, preset))
+        })
+        .collect()
+}
+
 /// Runs the SVT-AV1 preset sweep at fixed CRF.
 ///
 /// # Errors
 ///
 /// Propagates [`WorkbenchError`] from any failing encode.
 pub fn preset_sweep(cfg: &ExperimentConfig) -> Result<Vec<PresetPoint>, WorkbenchError> {
-    let specs: Vec<_> = cfg
-        .preset_points
-        .iter()
-        .map(|&preset| {
-            cfg.spec(cfg.headline_clip, CodecId::SvtAv1, EncoderParams::new(SWEEP_CRF, preset))
-        })
-        .collect();
+    let specs = preset_sweep_specs(cfg);
     let runs = cfg.run_specs(&specs)?;
-    Ok(cfg
-        .preset_points
+    Ok(specs
         .iter()
         .zip(runs)
-        .map(|(&preset, run)| PresetPoint { preset, run: (*run).clone() })
+        .map(|(spec, run)| PresetPoint { preset: spec.params.preset, run: (*run).clone() })
         .collect())
 }
 

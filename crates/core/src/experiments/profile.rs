@@ -4,9 +4,18 @@
 
 use super::ExperimentConfig;
 use crate::table::{f1, Table};
-use crate::workbench::WorkbenchError;
+use crate::workbench::{RunSpec, WorkbenchError};
 use vstress_codecs::{CodecId, EncoderParams};
 use vstress_trace::Kernel;
+
+/// The hot-kernel table's specs: counting-only SVT-AV1 at preset 4,
+/// CRF 35 on every configured clip.
+pub fn hot_kernel_specs(cfg: &ExperimentConfig) -> Vec<RunSpec> {
+    cfg.clips
+        .iter()
+        .map(|&clip| cfg.spec(clip, CodecId::SvtAv1, EncoderParams::new(35, 4)).counting_only())
+        .collect()
+}
 
 /// Per-clip hot-kernel table (top kernels by instruction share).
 ///
@@ -18,13 +27,9 @@ pub fn table_hot_kernels(cfg: &ExperimentConfig) -> Result<Table, WorkbenchError
         "hot kernels (SVT-AV1, preset 4) — the gprof step that places trace windows",
         &["Video", "#1", "#2", "#3", "search share %"],
     );
-    let specs: Vec<_> = cfg
-        .clips
-        .iter()
-        .map(|&clip| cfg.spec(clip, CodecId::SvtAv1, EncoderParams::new(35, 4)).counting_only())
-        .collect();
+    let specs = hot_kernel_specs(cfg);
     let runs = cfg.run_specs(&specs)?;
-    for (&clip_name, run) in cfg.clips.iter().zip(runs) {
+    for (spec, run) in specs.iter().zip(runs) {
         let top = run.profile.top(3);
         let fmt = |i: usize| {
             top.get(i).map(|(k, _, pct)| format!("{} {:.0}%", k.name(), pct)).unwrap_or_default()
@@ -37,7 +42,7 @@ pub fn table_hot_kernels(cfg: &ExperimentConfig) -> Result<Table, WorkbenchError
             .filter(|(k, _, _)| search_kernels.contains(k))
             .map(|(_, _, pct)| *pct)
             .sum();
-        table.push_row(vec![clip_name.to_owned(), fmt(0), fmt(1), fmt(2), f1(search_share)]);
+        table.push_row(vec![spec.clip.to_owned(), fmt(0), fmt(1), fmt(2), f1(search_share)]);
     }
     Ok(table)
 }

@@ -2,8 +2,8 @@
 
 use super::ExperimentConfig;
 use crate::table::{f1, f2, Table};
-use crate::workbench::{equivalent_params, WorkbenchError};
-use vstress_codecs::CodecId;
+use crate::workbench::{equivalent_params, RunSpec, WorkbenchError};
+use vstress_codecs::{CodecId, EncoderParams};
 use vstress_video::bdrate::{bd_rate, RatePoint};
 
 /// One (codec, crf) runtime measurement.
@@ -19,6 +19,19 @@ pub struct RuntimePoint {
     pub instructions: u64,
 }
 
+/// Fig. 1's specs: every codec at every CRF point on the headline clip,
+/// at preset-4-equivalent speed, each with its AV1-family CRF.
+pub fn fig01_specs(cfg: &ExperimentConfig) -> Vec<(u8, RunSpec)> {
+    cfg.crf_points
+        .iter()
+        .flat_map(|&crf| {
+            CodecId::ALL.map(|codec| {
+                (crf, cfg.spec(cfg.headline_clip, codec, equivalent_params(codec, crf, 4)))
+            })
+        })
+        .collect()
+}
+
 /// Fig. 1 — execution time of every codec across the CRF range on the
 /// headline clip (`game1`), at preset-4-equivalent speed.
 ///
@@ -28,21 +41,15 @@ pub struct RuntimePoint {
 pub fn fig01_runtime_vs_crf(
     cfg: &ExperimentConfig,
 ) -> Result<(Table, Vec<RuntimePoint>), WorkbenchError> {
-    let mut grid = Vec::new();
-    let mut specs = Vec::new();
-    for &crf in &cfg.crf_points {
-        for codec in CodecId::ALL {
-            grid.push((crf, codec));
-            specs.push(cfg.spec(cfg.headline_clip, codec, equivalent_params(codec, crf, 4)));
-        }
-    }
+    let (crfs, specs): (Vec<u8>, Vec<RunSpec>) = fig01_specs(cfg).into_iter().unzip();
     let runs = cfg.run_specs(&specs)?;
     let mut points = Vec::new();
     let mut table = Table::new(
         format!("Fig. 1 — execution time vs CRF ({})", cfg.headline_clip),
         &["codec", "crf", "seconds", "instructions"],
     );
-    for ((crf, codec), run) in grid.into_iter().zip(runs) {
+    for ((crf, spec), run) in crfs.into_iter().zip(&specs).zip(runs) {
+        let codec = spec.codec;
         table.push_row(vec![
             codec.name().to_owned(),
             crf.to_string(),
@@ -70,6 +77,20 @@ pub struct BdCurve {
     pub mean_seconds: f64,
 }
 
+/// Fig. 2a's four-point quality ladder spanning the usable range.
+const LADDER: [u8; 4] = [12, 26, 40, 54];
+
+/// Fig. 2a's specs: every codec over the four-point CRF ladder on the
+/// headline clip, codec-major.
+pub fn fig02a_specs(cfg: &ExperimentConfig) -> Vec<RunSpec> {
+    CodecId::ALL
+        .into_iter()
+        .flat_map(|codec| {
+            LADDER.map(|crf| cfg.spec(cfg.headline_clip, codec, equivalent_params(codec, crf, 4)))
+        })
+        .collect()
+}
+
 /// Fig. 2a — PSNR BD-Rate (vs the x264 anchor) against execution time.
 ///
 /// # Errors
@@ -77,23 +98,16 @@ pub struct BdCurve {
 /// Propagates [`WorkbenchError`]; BD-Rate math errors are reported as
 /// `"n/a"` cells (disjoint quality ranges can happen at tiny fidelity).
 pub fn fig02a_bdrate(cfg: &ExperimentConfig) -> Result<(Table, Vec<BdCurve>), WorkbenchError> {
-    // A four-point quality ladder spanning the usable range.
-    let ladder: [u8; 4] = [12, 26, 40, 54];
-    let specs: Vec<_> = CodecId::ALL
-        .into_iter()
-        .flat_map(|codec| ladder.iter().map(move |&crf| (codec, crf)))
-        .map(|(codec, crf)| cfg.spec(cfg.headline_clip, codec, equivalent_params(codec, crf, 4)))
-        .collect();
-    let runs = cfg.run_specs(&specs)?;
+    let runs = cfg.run_specs(&fig02a_specs(cfg))?;
     let mut curves = Vec::new();
-    for (ci, codec) in CodecId::ALL.into_iter().enumerate() {
+    for (codec, ladder_runs) in CodecId::ALL.into_iter().zip(runs.chunks(LADDER.len())) {
         let mut points = Vec::new();
         let mut secs = 0.0;
-        for run in &runs[ci * ladder.len()..(ci + 1) * ladder.len()] {
+        for run in ladder_runs {
             points.push(RatePoint { bitrate_kbps: run.bitrate_kbps, psnr_db: run.mean_psnr });
             secs += run.seconds;
         }
-        curves.push(BdCurve { codec, points, mean_seconds: secs / ladder.len() as f64 });
+        curves.push(BdCurve { codec, points, mean_seconds: secs / LADDER.len() as f64 });
     }
     let anchor =
         curves.iter().find(|c| c.codec == CodecId::X264).expect("x264 is in ALL").points.clone();
@@ -108,27 +122,30 @@ pub fn fig02a_bdrate(cfg: &ExperimentConfig) -> Result<(Table, Vec<BdCurve>), Wo
     Ok((table, curves))
 }
 
+/// Fig. 2b's specs: SVT-AV1 preset 4 at every CRF point on the
+/// headline clip.
+pub fn fig02b_specs(cfg: &ExperimentConfig) -> Vec<RunSpec> {
+    cfg.crf_points
+        .iter()
+        .map(|&crf| cfg.spec(cfg.headline_clip, CodecId::SvtAv1, EncoderParams::new(crf, 4)))
+        .collect()
+}
+
 /// Fig. 2b — PSNR vs execution time for SVT-AV1 at preset 4.
 ///
 /// # Errors
 ///
 /// Propagates [`WorkbenchError`] from any failing encode.
 pub fn fig02b_psnr_vs_time(cfg: &ExperimentConfig) -> Result<Table, WorkbenchError> {
-    let specs: Vec<_> = cfg
-        .crf_points
-        .iter()
-        .map(|&crf| {
-            cfg.spec(cfg.headline_clip, CodecId::SvtAv1, vstress_codecs::EncoderParams::new(crf, 4))
-        })
-        .collect();
+    let specs = fig02b_specs(cfg);
     let runs = cfg.run_specs(&specs)?;
     let mut table = Table::new(
         format!("Fig. 2b — PSNR vs execution time, SVT-AV1 preset 4 ({})", cfg.headline_clip),
         &["crf", "seconds", "psnr dB", "kbps"],
     );
-    for (&crf, run) in cfg.crf_points.iter().zip(runs) {
+    for (spec, run) in specs.iter().zip(runs) {
         table.push_row(vec![
-            crf.to_string(),
+            spec.params.crf.to_string(),
             format!("{:.4}", run.seconds),
             f2(run.mean_psnr),
             f1(run.bitrate_kbps),

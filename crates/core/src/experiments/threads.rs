@@ -17,7 +17,7 @@
 
 use super::ExperimentConfig;
 use crate::table::{f2, f3, Table};
-use crate::workbench::WorkbenchError;
+use crate::workbench::{RunSpec, WorkbenchError};
 use vstress_codecs::taskgraph::build_task_graph;
 use vstress_codecs::{CodecId, EncoderParams};
 use vstress_pipeline::TopDownSlots;
@@ -65,6 +65,29 @@ pub struct ScalingResult {
     pub curves: Vec<(CodecId, Vec<f64>)>,
 }
 
+/// Figs. 12–15's specs: counting-only encodes of every scaling codec in
+/// every scenario on the headline clip, scenario-major. Several
+/// scenarios share the AV1-family "highest CRF" point, so the run cache
+/// collapses those encodes to one each.
+pub fn fig12_15_specs(cfg: &ExperimentConfig) -> Vec<RunSpec> {
+    SCENARIOS
+        .into_iter()
+        .flat_map(|scenario| {
+            SCALING_CODECS.map(|codec| {
+                cfg.spec(cfg.headline_clip, codec, params_for(codec, scenario)).counting_only()
+            })
+        })
+        .collect()
+}
+
+/// Fig. 16's specs: pipeline-modelled encodes of every scaling codec in
+/// the Fig. 15 scenario on the headline clip.
+pub fn fig16_specs(cfg: &ExperimentConfig) -> Vec<RunSpec> {
+    SCALING_CODECS
+        .map(|codec| cfg.spec(cfg.headline_clip, codec, params_for(codec, SCENARIOS[3])))
+        .to_vec()
+}
+
 /// Figs. 12–15 — thread-scalability curves for all four scenarios.
 ///
 /// # Errors
@@ -74,21 +97,8 @@ pub fn fig12_15_thread_scaling(
     cfg: &ExperimentConfig,
 ) -> Result<(Vec<Table>, Vec<ScalingResult>), WorkbenchError> {
     // The instrumented single-thread encodes fan out over the executor;
-    // the (cheap) graph construction and scheduling stay serial. Several
-    // scenarios share the AV1-family "highest CRF" point, so the run
-    // cache collapses those encodes to one each.
-    let mut grid = Vec::new();
-    let mut specs = Vec::new();
-    for scenario in SCENARIOS {
-        for codec in SCALING_CODECS {
-            grid.push((scenario, codec));
-            specs.push(
-                cfg.spec(cfg.headline_clip, codec, params_for(codec, scenario)).counting_only(),
-            );
-        }
-    }
-    let runs = cfg.run_specs(&specs)?;
-    let mut runs = runs.into_iter();
+    // the (cheap) graph construction and scheduling stay serial.
+    let mut runs = cfg.run_specs(&fig12_15_specs(cfg))?.into_iter();
     let mut tables = Vec::new();
     let mut results = Vec::new();
     for scenario in SCENARIOS {
@@ -132,12 +142,7 @@ pub fn fig16_topdown_threads(cfg: &ExperimentConfig) -> Result<Table, WorkbenchE
         format!("Fig. 16 — top-down vs thread count ({})", cfg.headline_clip),
         &["codec", "threads", "retiring", "bad-spec", "frontend", "backend"],
     );
-    let scenario = SCENARIOS[3];
-    let specs: Vec<_> = SCALING_CODECS
-        .into_iter()
-        .map(|codec| cfg.spec(cfg.headline_clip, codec, params_for(codec, scenario)))
-        .collect();
-    let runs = cfg.run_specs(&specs)?;
+    let runs = cfg.run_specs(&fig16_specs(cfg))?;
     for (codec, run) in SCALING_CODECS.into_iter().zip(runs) {
         let graph = build_task_graph(codec, &run.tasks);
         let base = run.core.topdown();

@@ -46,7 +46,9 @@ pub mod serve;
 pub mod table;
 pub mod workbench;
 
-pub use exec::{BranchWindow, RunCache, RunCacheStats, RunStore, StoreStats, SCHEMA_VERSION};
+pub use exec::{
+    BranchWindow, Request, RunCache, RunCacheStats, RunStore, StoreStats, SCHEMA_VERSION,
+};
 pub use serve::{ServeConfig, ServeReport, TrafficConfig};
 pub use table::Table;
 pub use workbench::{characterize, CharacterizationRun, RunSpec};
