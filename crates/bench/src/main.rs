@@ -45,7 +45,10 @@ use vstress::codecs::mesearch::{motion_search, MeScratch, MeSettings};
 use vstress::codecs::{kernels, transform, CodecId, Encoder, EncoderParams};
 use vstress::pipeline::{CoreConfig, CoreModel};
 use vstress::trace::record::{BranchRecord, NullSink};
-use vstress::trace::{Kernel, MemAccess, NullProbe, Probe, ProbeEvent, SinkProbe, StreamRecorder};
+use vstress::trace::{
+    CanonicalizingProbe, EventBatch, Kernel, MemAccess, NullProbe, ProbeEvent, SinkProbe,
+    StreamRecorder,
+};
 use vstress::video::vbench::{self, FidelityConfig};
 use vstress::video::Plane;
 use vstress::workbench::equivalent_params;
@@ -402,9 +405,7 @@ fn run_suite(suite: &mut Suite) -> Option<u64> {
         black_box(ones);
     });
 
-    // ---- Simulation-side microbenchmarks. `sim_core_drain_16k_per_event`
-    // keeps the pre-batching probe interface next to the batched drain,
-    // so the dispatch saving stays visible inside a single report.
+    // ---- Simulation-side microbenchmarks.
 
     // Cache hierarchy, streaming load/store sweep: sequential 8-byte
     // accesses (eight per 64 B line, so the L1D MRU fast path carries
@@ -420,10 +421,10 @@ fn run_suite(suite: &mut Suite) -> Option<u64> {
             black_box(live_hier.load(black_box(a), 8));
         }
     });
-    // Core-model event drain: one batched `drain_batch` call versus the
-    // old per-event dispatch loop, over an encoder-shaped event mix.
+    // Core-model event drain: an encoder-shaped event mix with raw
+    // addresses, replayed through the canonicalizing adaptor.
     let mut x = 0x2545_f491_4f6c_dd1du64;
-    let events: Vec<ProbeEvent> = (0..16_384u64)
+    let events: EventBatch = (0..16_384u64)
         .map(|i| {
             x ^= x << 13;
             x ^= x >> 7;
@@ -440,25 +441,9 @@ fn run_suite(suite: &mut Suite) -> Option<u64> {
             }
         })
         .collect();
-    let mut batched_model = CoreModel::broadwell();
+    let mut live_model = CanonicalizingProbe::new(CoreModel::broadwell());
     suite.time_it("sim_core_drain_16k", 0, || {
-        batched_model.drain_batch(black_box(&events));
-    });
-    let mut per_event_model = CoreModel::broadwell();
-    suite.time_it("sim_core_drain_16k_per_event", 0, || {
-        // The pre-batching interface: every event crosses the probe
-        // boundary as its own method call.
-        for &e in black_box(&events) {
-            match e {
-                ProbeEvent::SetKernel(k) => per_event_model.set_kernel(k),
-                ProbeEvent::Alu(n) => per_event_model.alu(n),
-                ProbeEvent::Avx(n) => per_event_model.avx(n),
-                ProbeEvent::Sse(n) => per_event_model.sse(n),
-                ProbeEvent::Load { addr, bytes } => per_event_model.load(addr, bytes),
-                ProbeEvent::Store { addr, bytes } => per_event_model.store(addr, bytes),
-                ProbeEvent::Branch { pc, taken } => per_event_model.branch(pc, taken),
-            }
-        }
+        black_box(&events).replay(&mut live_model);
     });
 
     // Probe event stream: packing the same 16k-event mix into canonical
@@ -468,12 +453,12 @@ fn run_suite(suite: &mut Suite) -> Option<u64> {
     // raw in-memory batch).
     suite.time_it("sim_stream_record_16k", 0, || {
         let mut rec = StreamRecorder::new();
-        rec.drain_batch(black_box(&events));
+        black_box(&events).replay(&mut rec);
         black_box(rec.finish().0.packed_bytes());
     });
     let stream16k = {
         let mut rec = StreamRecorder::new();
-        rec.drain_batch(&events);
+        events.replay(&mut rec);
         rec.finish().0
     };
     let mut stream_model = CoreModel::broadwell();
@@ -751,13 +736,13 @@ fn run_ablations(suite: &mut Suite) {
             || {
                 let mut cfg = CoreConfig::broadwell();
                 cfg.max_mlp = max_mlp;
-                let mut model = CoreModel::new(
+                let mut model = CanonicalizingProbe::new(CoreModel::new(
                     cfg,
                     HierarchyConfig::broadwell_scaled(16),
                     Gshare::with_budget_bytes(32 << 10),
-                );
+                ));
                 svt.encode(cat(), &mut model).expect("encode");
-                model.into_report()
+                model.into_inner().into_report()
             },
             |report| format!("{config:<8} IPC {:.3}", report.ipc()),
         );

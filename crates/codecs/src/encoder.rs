@@ -168,8 +168,8 @@ impl Encoder {
     /// — branch PCs included — are identical to [`Encoder::encode`] at
     /// any `{tile_workers, frame_workers}` (pinned by the
     /// `frame_pipeline_equivalence` oracle; comparisons across separate
-    /// encode calls go through the model's first-touch page
-    /// canonicalization, since the synthetic allocator hands each encode
+    /// encode calls rename pages in first-touch order, as a stream
+    /// capture does, since the synthetic allocator hands each encode
     /// fresh page bases). Only [`FrameTaskTrace::pipeline`] — wall-clock
     /// occupancy, excluded from equality and serialization — differs.
     ///

@@ -379,40 +379,12 @@ pub fn estimate_tu_rate(n: usize, levels: &[i32]) -> u64 {
 // Phase A: search
 // ---------------------------------------------------------------------------
 
-/// One memoized leaf evaluation: the RD result plus the probe events the
-/// evaluation emitted, for replay on a hit (see [`eval_leaf_memo`]).
+/// One memoized leaf evaluation (see [`eval_leaf_memo`]).
 #[derive(Debug, Clone)]
 struct LeafMemoEntry {
     mode: LeafMode,
     cost: u64,
     seed_mv_out: MotionVector,
-    events: vstress_trace::EventBatch,
-}
-
-/// When the partition search may serve a leaf evaluation from the memo
-/// instead of recomputing it (see `eval_leaf_memo` for the fidelity
-/// argument and DESIGN.md "Performance" for the measurements behind the
-/// default).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum MemoPolicy {
-    /// Never memoize; every leaf is fully recomputed.
-    Off,
-    /// Memoize only when the probe is dead ([`Probe::is_live`] is
-    /// `false`): hits skip the whole evaluation and nothing needs
-    /// recording, so the real (non-simulated) encode path gets the full
-    /// win at zero bookkeeping cost. Live probes recompute every leaf,
-    /// which is trivially stream-identical. This is the default:
-    /// measured on the quick profile, repeated keys are almost always
-    /// seen exactly twice, so eagerly recording every miss costs more
-    /// than replaying the repeat saves.
-    #[default]
-    DeadProbeOnly,
-    /// Memoize under live probes too, replaying the recorded event batch
-    /// on every hit. Exact — the equivalence tests prove the replayed
-    /// stream matches full recomputation byte-for-byte — but a measured
-    /// net loss on characterization runs; exposed for those tests and
-    /// for callers whose repeat rate differs.
-    Always,
 }
 
 /// PlanScratch buffers reused across Phase-A leaf evaluations.
@@ -434,7 +406,6 @@ pub struct PlanScratch {
     /// tools/λ/sources/HME seeds are fixed. Cleared by
     /// [`plan_superblock`].
     memo: std::collections::HashMap<(BlockRect, MotionVector), LeafMemoEntry>,
-    memo_policy: MemoPolicy,
 }
 
 impl Default for PlanScratch {
@@ -449,7 +420,6 @@ impl Default for PlanScratch {
             tu_rec: Vec::new(),
             me: crate::mesearch::MeScratch::new(),
             memo: std::collections::HashMap::new(),
-            memo_policy: MemoPolicy::default(),
         }
     }
 }
@@ -458,17 +428,6 @@ impl PlanScratch {
     /// An empty pool (buffers grow on first use).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the leaf-evaluation memo policy (default
-    /// [`MemoPolicy::DeadProbeOnly`]).
-    ///
-    /// [`MemoPolicy::Always`] and [`MemoPolicy::Off`] exist for the
-    /// equivalence tests, which assert that memoized and fully
-    /// recomputed searches produce identical plans and identical probe
-    /// event streams.
-    pub fn set_memo_policy(&mut self, policy: MemoPolicy) {
-        self.memo_policy = policy;
     }
 
     fn ensure(&mut self, area: usize, tu2: usize) {
@@ -727,24 +686,14 @@ fn plan_block<P: Probe>(
 /// sub-block, `HorzA`'s bottom quads are `Split`'s lower quadrants, and
 /// so on — so repeats with an unchanged MV predictor are pure recompute.
 ///
-/// Probe fidelity: on a miss with a live probe (under
-/// [`MemoPolicy::Always`]), the evaluation runs under a
-/// [`vstress_trace::RecordingProbe`] and the entry stores the exact
-/// event batch; a hit replays that batch, so downstream models observe
-/// precisely the stream the recomputation would have emitted (the
-/// evaluation's emissions do not depend on probe state, so record-once/
-/// replay-later is exact). With a dead probe ([`vstress_trace::NullProbe`])
-/// recording is skipped and the entry stores an empty batch — sound
-/// because probe liveness cannot change within one plan, so any later
-/// hit replays into the same dead probe where replay is a no-op.
-///
-/// Policy: under the default [`MemoPolicy::DeadProbeOnly`], live probes
-/// bypass the memo and recompute every leaf. Replay is exact either way
-/// (the tests prove it), but profiling the quick characterization run
-/// showed repeated keys are almost always seen exactly twice, so eager
-/// recording on every miss costs more wall time than the single replay
-/// saves. The dead-probe path has no such trade-off: hits skip the whole
-/// evaluation and there is nothing to record.
+/// Probe fidelity: the memo engages only when the probe is dead
+/// ([`Probe::is_live`] is `false`, e.g. [`vstress_trace::NullProbe`]).
+/// A hit then skips the whole evaluation, and nothing can observe the
+/// events it does not emit. Live probes recompute every leaf, which is
+/// trivially stream-identical. Profiling the quick characterization run
+/// showed repeated keys are almost always seen exactly twice, so
+/// recording each miss's events for replay on a live probe would cost
+/// more wall time than the single replay saves.
 #[allow(clippy::too_many_arguments)]
 fn eval_leaf_memo<P: Probe>(
     probe: &mut P,
@@ -758,33 +707,16 @@ fn eval_leaf_memo<P: Probe>(
     scratch: &mut PlanScratch,
     hme: &HmeSeeds,
 ) -> (LeafMode, u64) {
-    let use_memo = match scratch.memo_policy {
-        MemoPolicy::Off => false,
-        MemoPolicy::DeadProbeOnly => !probe.is_live(),
-        MemoPolicy::Always => true,
-    };
-    if !use_memo {
+    if probe.is_live() {
         return eval_leaf(probe, tools, cfg, lambda, src, refs, rect, seed_mv, scratch, hme);
     }
     let key = (rect, *seed_mv);
     if let Some(hit) = scratch.memo.get(&key) {
-        hit.events.replay(probe);
         *seed_mv = hit.seed_mv_out;
         return (hit.mode, hit.cost);
     }
-    let mut seed = *seed_mv;
-    let (mode, cost, events) = if probe.is_live() {
-        let mut rec = vstress_trace::RecordingProbe::new(probe);
-        let (mode, cost) =
-            eval_leaf(&mut rec, tools, cfg, lambda, src, refs, rect, &mut seed, scratch, hme);
-        (mode, cost, rec.into_batch())
-    } else {
-        let (mode, cost) =
-            eval_leaf(probe, tools, cfg, lambda, src, refs, rect, &mut seed, scratch, hme);
-        (mode, cost, vstress_trace::EventBatch::new())
-    };
-    scratch.memo.insert(key, LeafMemoEntry { mode, cost, seed_mv_out: seed, events });
-    *seed_mv = seed;
+    let (mode, cost) = eval_leaf(probe, tools, cfg, lambda, src, refs, rect, seed_mv, scratch, hme);
+    scratch.memo.insert(key, LeafMemoEntry { mode, cost, seed_mv_out: *seed_mv });
     (mode, cost)
 }
 

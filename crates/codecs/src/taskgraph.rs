@@ -49,9 +49,8 @@ pub struct FrameTaskTrace {
     /// Measured per-unit partition-search (Phase A) costs, in canonical
     /// merge order (tile-major, row-major within tile, chunk-major
     /// within row) — filled by the encoder's tile/wavefront
-    /// decomposition. Empty for synthetic traces and stored runs from
-    /// schema v1; the graph builders then fall back to an even split of
-    /// each row's cost.
+    /// decomposition. Empty for synthetic traces; the graph builders
+    /// then fall back to an even split of each row's cost.
     pub plan_units: Vec<PlanUnit>,
     /// Cross-frame pipeline timing for this frame's Phase A, measured in
     /// wall-clock nanoseconds on the worker threads (zero for serial

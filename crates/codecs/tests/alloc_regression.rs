@@ -4,8 +4,8 @@
 //! PR 3 threads a reusable [`MeScratch`] through `motion_search` so the
 //! RDO descent stops allocating per candidate. PR 4 does the same for
 //! the simulation side: the cache hierarchy's prefetch path loses its
-//! per-miss `Vec`, and the batched probe→model event drain reuses only
-//! fixed state. These tests make both regression boundaries: after one
+//! per-miss `Vec`, and the probe→model event path reuses only fixed
+//! state. These tests make both regression boundaries: after one
 //! warm-up pass has grown every lazily-sized buffer, further work must
 //! perform **zero** heap allocations.
 //!
@@ -123,7 +123,7 @@ fn motion_search_is_allocation_free_after_warmup() {
 }
 
 /// The simulation-side pin: replaying a characterization-sized event
-/// batch through a [`CoreModel`] — and the same access stream through a
+/// batch through a canonicalizing [`CoreModel`] — and the same access stream through a
 /// bare [`Hierarchy`] with the stride prefetcher enabled — allocates
 /// nothing once a warm-up pass has first-touched every page. The
 /// prefetch path is the one that used to allocate (a `Vec<u64>` of
@@ -134,13 +134,13 @@ fn simulation_event_path_is_allocation_free_in_steady_state() {
     use vstress_cache::config::PrefetchKind;
     use vstress_cache::{Hierarchy, HierarchyConfig};
     use vstress_pipeline::CoreModel;
-    use vstress_trace::{Kernel, Probe, ProbeEvent};
+    use vstress_trace::{CanonicalizingProbe, EventBatch, Kernel, ProbeEvent};
 
     // A mixed stream shaped like real encoder output: kernel switches,
     // compute bursts, strided loads sweeping far past L2 (demand misses
     // feed the prefetcher), scattered stores, and branchy control.
     let mut x = 0x2545_f491_4f6c_dd1du64;
-    let events: Vec<ProbeEvent> = (0..48_000u64)
+    let events: EventBatch = (0..48_000u64)
         .map(|i| {
             x ^= x << 13;
             x ^= x >> 7;
@@ -158,12 +158,12 @@ fn simulation_event_path_is_allocation_free_in_steady_state() {
         })
         .collect();
 
-    let mut model = CoreModel::broadwell_scaled(4);
+    let mut model = CanonicalizingProbe::new(CoreModel::broadwell_scaled(4));
     let mut cfg = HierarchyConfig::broadwell_scaled(4);
     cfg.l2_prefetch = PrefetchKind::Stride;
     let mut hier = Hierarchy::new(cfg);
     let drive_hierarchy = |hier: &mut Hierarchy| {
-        for &e in &events {
+        for &e in events.events() {
             match e {
                 ProbeEvent::Load { addr, bytes } => {
                     hier.load(addr, bytes);
@@ -176,13 +176,13 @@ fn simulation_event_path_is_allocation_free_in_steady_state() {
         }
     };
 
-    // Warm-up: the model's first-touch page canonicalizer grows here;
-    // cache arrays and predictor tables are fixed-size from construction.
-    model.drain_batch(&events);
+    // Warm-up: the first-touch page canonicalizer grows here; cache
+    // arrays and predictor tables are fixed-size from construction.
+    events.replay(&mut model);
     drive_hierarchy(&mut hier);
 
     let before = allocs();
-    model.drain_batch(&events);
+    events.replay(&mut model);
     drive_hierarchy(&mut hier);
     let after = allocs();
     assert_eq!(

@@ -492,13 +492,13 @@ fn memo_test_frames(sb: usize) -> (vstress_video::Frame, vstress_video::Frame) {
     (src, reff)
 }
 
-/// Under `MemoPolicy::Always` with a live probe, the memo must be
-/// invisible: identical plan, identical probe event stream (exact,
-/// branch PCs included — both sides run the same code).
+/// The leaf memo engages only under a dead probe, where hits skip the
+/// evaluation entirely. The chosen plans must be identical to those a
+/// live probe gets, which bypasses the memo and recomputes every leaf.
 #[test]
-fn memo_replay_is_probe_invisible() {
+fn memo_dead_probe_path_matches_plans() {
     use vstress_codecs::codecs::ToolSet;
-    use vstress_codecs::frame_coder::{plan_superblock, CoderConfig, MemoPolicy, PlanScratch};
+    use vstress_codecs::frame_coder::{plan_superblock, CoderConfig, PlanScratch};
     use vstress_codecs::{CodecId, EncoderParams};
     use vstress_trace::CountingProbe;
 
@@ -508,80 +508,33 @@ fn memo_replay_is_probe_invisible() {
     let (src, reff) = memo_test_frames(sb);
     let refs = [&reff];
 
-    let run = |policy: MemoPolicy| {
-        let mut counting = CountingProbe::new();
-        let mut rec = RecordingProbe::new(&mut counting);
-        let mut scratch = PlanScratch::new();
-        scratch.set_memo_policy(policy);
-        let mut plans = Vec::new();
-        for (sx, sy) in [(0, 0), (sb, 0), (0, sb), (sb, sb)] {
-            let rect = BlockRect::new(sx, sy, sb, sb);
-            let mut seed_mv = MotionVector::ZERO;
-            plans.push(plan_superblock(
-                &mut rec,
-                &tools,
-                &cfg,
-                &src,
-                &refs,
-                rect,
-                &mut seed_mv,
-                &mut scratch,
-            ));
-        }
-        let events = rec.into_batch();
-        (plans, events, counting.mix())
-    };
-
-    let (plans_on, events_on, mix_on) = run(MemoPolicy::Always);
-    let (plans_off, events_off, mix_off) = run(MemoPolicy::Off);
-    assert_eq!(plans_on, plans_off, "memo changed the chosen plan");
-    assert_eq!(mix_on, mix_off, "memo changed the instruction mix");
-    assert_eq!(
-        events_on,
-        events_off,
-        "memo changed the probe event stream ({} vs {} events)",
-        events_on.len(),
-        events_off.len()
-    );
-    assert!(!events_on.is_empty());
-}
-
-/// Under the default `MemoPolicy::DeadProbeOnly` with a dead probe, memo
-/// hits skip the evaluation entirely — the chosen plans must still be
-/// identical to full recomputation.
-#[test]
-fn memo_dead_probe_path_matches_plans() {
-    use vstress_codecs::codecs::ToolSet;
-    use vstress_codecs::frame_coder::{plan_superblock, CoderConfig, MemoPolicy, PlanScratch};
-    use vstress_codecs::{CodecId, EncoderParams};
-
-    let tools = ToolSet::resolve(CodecId::SvtAv1, &EncoderParams::new(35, 6)).unwrap();
-    let cfg = CoderConfig::from_tools(&tools, 35);
-    let sb = tools.superblock;
-    let (src, reff) = memo_test_frames(sb);
-    let refs = [&reff];
-
-    let run = |policy: MemoPolicy| {
-        let mut null = NullProbe;
-        let mut scratch = PlanScratch::new();
-        scratch.set_memo_policy(policy);
-        let mut plans = Vec::new();
-        for (sx, sy) in [(0, 0), (sb, 0), (0, sb), (sb, sb)] {
-            let rect = BlockRect::new(sx, sy, sb, sb);
-            let mut seed_mv = MotionVector::ZERO;
-            plans.push(plan_superblock(
-                &mut null,
-                &tools,
-                &cfg,
-                &src,
-                &refs,
-                rect,
-                &mut seed_mv,
-                &mut scratch,
-            ));
-        }
-        plans
-    };
-
-    assert_eq!(run(MemoPolicy::DeadProbeOnly), run(MemoPolicy::Off));
+    let mut counting = CountingProbe::new();
+    let (mut live_scratch, mut dead_scratch) = (PlanScratch::new(), PlanScratch::new());
+    for (sx, sy) in [(0, 0), (sb, 0), (0, sb), (sb, sb)] {
+        let rect = BlockRect::new(sx, sy, sb, sb);
+        let (mut live_mv, mut dead_mv) = (MotionVector::ZERO, MotionVector::ZERO);
+        let live = plan_superblock(
+            &mut counting,
+            &tools,
+            &cfg,
+            &src,
+            &refs,
+            rect,
+            &mut live_mv,
+            &mut live_scratch,
+        );
+        let dead = plan_superblock(
+            &mut NullProbe,
+            &tools,
+            &cfg,
+            &src,
+            &refs,
+            rect,
+            &mut dead_mv,
+            &mut dead_scratch,
+        );
+        assert_eq!(dead, live, "memo changed the plan of superblock ({sx}, {sy})");
+        assert_eq!(dead_mv, live_mv);
+    }
+    assert!(counting.retired() > 0, "the live probe must observe the search");
 }

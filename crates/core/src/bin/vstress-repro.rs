@@ -22,7 +22,7 @@
 //! windows / decode-cost pairs) persist under `DIR`, so an interrupted
 //! or repeated invocation of the same profile reloads them instead of
 //! re-encoding — the second run performs zero encodes and prints
-//! byte-identical tables. `--no-store` (the default) disables it; store
+//! byte-identical tables. Without `--store` nothing persists; store
 //! diagnostics go to stderr only, so stdout stays comparable across
 //! runs.
 
@@ -45,7 +45,6 @@ const FLAGS: &[FlagSpec] = &[
     FlagSpec::value("--tile-workers", "N", "tile/wavefront threads per encode (positive)"),
     FlagSpec::value("--frame-workers", "N", "cross-frame pipeline depth per encode (positive)"),
     FlagSpec::value("--store", "DIR", "persist results; repeat runs resume"),
-    FlagSpec::switch("--no-store", "disable the store (wins over --store)"),
 ];
 
 /// Prints a usage error plus the flag table and exits 2.
@@ -175,9 +174,7 @@ fn main() {
         Ok(t) => t,
         Err(e) => usage_error(&e),
     };
-    // `--no-store` (the default) wins over `--store` if both appear.
-    let store_dir: Option<PathBuf> =
-        if parsed.switch("--no-store") { None } else { parsed.value("--store").map(PathBuf::from) };
+    let store_dir: Option<PathBuf> = parsed.value("--store").map(PathBuf::from);
     let unknown: Vec<&String> =
         parsed.positionals.iter().filter(|p| !valid_ids().any(|id| id == p.as_str())).collect();
     if !unknown.is_empty() {

@@ -24,16 +24,17 @@
 //!
 //! ```
 //! use vstress_pipeline::CoreModel;
-//! use vstress_trace::{Kernel, Probe};
+//! use vstress_trace::{CanonicalizingProbe, Kernel, Probe};
 //!
-//! let mut core = CoreModel::broadwell();
+//! // Raw addresses are canonicalized on the way in, as a capture would.
+//! let mut core = CanonicalizingProbe::new(CoreModel::broadwell());
 //! core.set_kernel(Kernel::Sad);
 //! for i in 0..1000u64 {
 //!     core.avx(4);
 //!     core.load(0x10_0000 + (i % 64) * 64, 32);
 //!     core.branch(0x5000_0000_0000, i % 16 != 0);
 //! }
-//! let report = core.into_report();
+//! let report = core.into_inner().into_report();
 //! assert!(report.ipc() > 0.5 && report.ipc() <= 4.0);
 //! let td = report.topdown();
 //! let sum = td.retiring + td.bad_speculation + td.frontend + td.backend;

@@ -5,7 +5,7 @@ use crate::report::{CoreReport, ResourceStalls};
 use vstress_bpred::{BranchPredictor, Gshare};
 use vstress_cache::{Hierarchy, HierarchyConfig, ServiceLevel};
 use vstress_trace::stream::decode_chunk;
-use vstress_trace::{AddressCanonicalizer, EventStream, Kernel, Probe, ProbeEvent};
+use vstress_trace::{EventStream, Kernel, Probe};
 
 /// An interval-model out-of-order core consuming an instrumented encode.
 ///
@@ -15,6 +15,11 @@ use vstress_trace::{AddressCanonicalizer, EventStream, Kernel, Probe, ProbeEvent
 /// embedded predictor (default: an 8 KB TAGE, standing in for Broadwell's
 /// branch unit), data addresses walk the cache hierarchy, and a synthetic
 /// fetch stream walks each kernel's code region through the L1I.
+///
+/// The model takes data addresses as they come and expects canonical
+/// ones, which is what a replayed [`EventStream`] carries. To drive it
+/// live with raw probe addresses, wrap it in a
+/// [`CanonicalizingProbe`](vstress_trace::CanonicalizingProbe).
 ///
 /// Call [`CoreModel::into_report`] when the run completes.
 #[derive(Debug)]
@@ -88,11 +93,6 @@ pub struct CoreModel<B: BranchPredictor = Gshare> {
     /// Memory-level-parallelism window state.
     last_miss_at: u64,
     cur_mlp: u32,
-
-    /// First-touch page remapping of live probe addresses (see
-    /// [`AddressCanonicalizer`]). The stream-replay path bypasses it:
-    /// captured streams are canonical already.
-    canon: AddressCanonicalizer,
 
     /// L1D misses attributed to the kernel active at miss time.
     misses_by_kernel: [u64; Kernel::ALL.len()],
@@ -200,7 +200,6 @@ impl<B: BranchPredictor> CoreModel<B> {
             cur_line_mod: 0,
             last_miss_at: 0,
             cur_mlp: 1,
-            canon: AddressCanonicalizer::new(),
             misses_by_kernel: [0; Kernel::ALL.len()],
             config,
         }
@@ -349,13 +348,13 @@ impl<B: BranchPredictor> CoreModel<B> {
     /// Drains a captured event stream into the model.
     ///
     /// The stream must come from a
-    /// [`StreamRecorder`](vstress_trace::StreamRecorder) capture: its
-    /// data addresses are already canonical, so this path skips the
-    /// live-probe canonicalization while performing the identical model
-    /// arithmetic — the resulting [`CoreReport`] is bit-identical to
-    /// driving the model live with the raw event sequence (pinned by
-    /// `stream_replay_is_bit_identical_to_live_dispatch` below and the
-    /// full-encode oracle in `tests/stream_equivalence.rs`).
+    /// [`StreamRecorder`](vstress_trace::StreamRecorder) capture, whose
+    /// data addresses are canonical. The resulting [`CoreReport`] is
+    /// bit-identical to driving the model live with the raw event
+    /// sequence through a
+    /// [`CanonicalizingProbe`](vstress_trace::CanonicalizingProbe)
+    /// (pinned by `stream_replay_is_bit_identical_to_live_dispatch`
+    /// below and the full-encode oracle in `tests/stream_equivalence.rs`).
     pub fn consume_stream(&mut self, stream: &EventStream) {
         for chunk in stream.chunks() {
             self.consume_chunk(chunk);
@@ -368,7 +367,7 @@ impl<B: BranchPredictor> CoreModel<B> {
     /// pipeline, draining a [`vstress_trace::ChunkRx`] while the encode
     /// is still producing.
     pub fn consume_chunk(&mut self, chunk: &[u8]) {
-        decode_chunk(chunk, &mut CanonicalSink(self));
+        decode_chunk(chunk, self);
     }
 
     /// Charges a data-side miss stall and the associated resource pressure.
@@ -423,74 +422,11 @@ impl<B: BranchPredictor> CoreModel<B> {
     }
 }
 
-/// The stream-replay adaptor: identical event handling to the live
-/// [`Probe`] impl on [`CoreModel`], minus address canonicalization
-/// (replayed addresses are canonical by construction, and
-/// canonicalization is idempotent, so the hierarchy sees the same
-/// addresses either way).
-struct CanonicalSink<'a, B: BranchPredictor>(&'a mut CoreModel<B>);
-
-impl<B: BranchPredictor> Probe for CanonicalSink<'_, B> {
-    #[inline]
-    fn set_kernel(&mut self, k: Kernel) {
-        // Capture drops redundant redeclarations, so every arriving
-        // switch is (or is indistinguishable from) a real one.
-        self.0.switch_kernel(k);
-    }
-
-    #[inline]
-    fn alu(&mut self, n: u64) {
-        self.0.advance(n);
-    }
-
-    #[inline]
-    fn avx(&mut self, n: u64) {
-        self.0.advance(n);
-    }
-
-    #[inline]
-    fn sse(&mut self, n: u64) {
-        self.0.advance(n);
-    }
-
-    #[inline]
-    fn load(&mut self, addr: u64, bytes: u32) {
-        let m = &mut *self.0;
-        m.advance(1);
-        m.loads += 1;
-        let level = m.hierarchy.load(addr, bytes);
-        m.memory_stall(level, false);
-    }
-
-    #[inline]
-    fn store(&mut self, addr: u64, bytes: u32) {
-        let m = &mut *self.0;
-        m.advance(1);
-        m.stores += 1;
-        let level = m.hierarchy.store(addr, bytes);
-        m.memory_stall(level, true);
-    }
-
-    #[inline]
-    fn branch(&mut self, pc: u64, taken: bool) {
-        self.0.branch(pc, taken);
-    }
-
-    #[inline]
-    fn retired(&self) -> u64 {
-        self.0.retired
-    }
-}
-
-impl<B: BranchPredictor> std::fmt::Debug for CanonicalSink<'_, B> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("CanonicalSink")
-    }
-}
-
 impl<B: BranchPredictor> Probe for CoreModel<B> {
     #[inline]
     fn set_kernel(&mut self, k: Kernel) {
+        // Captures drop redundant redeclarations; a live one reinstalls
+        // the same per-kernel values, so it changes nothing.
         self.switch_kernel(k);
     }
 
@@ -513,7 +449,6 @@ impl<B: BranchPredictor> Probe for CoreModel<B> {
     fn load(&mut self, addr: u64, bytes: u32) {
         self.advance(1);
         self.loads += 1;
-        let addr = self.canon.canon(addr);
         let level = self.hierarchy.load(addr, bytes);
         self.memory_stall(level, false);
     }
@@ -522,7 +457,6 @@ impl<B: BranchPredictor> Probe for CoreModel<B> {
     fn store(&mut self, addr: u64, bytes: u32) {
         self.advance(1);
         self.stores += 1;
-        let addr = self.canon.canon(addr);
         let level = self.hierarchy.store(addr, bytes);
         self.memory_stall(level, true);
     }
@@ -549,43 +483,21 @@ impl<B: BranchPredictor> Probe for CoreModel<B> {
     fn retired(&self) -> u64 {
         self.retired
     }
-
-    /// Batched event drain for memo replay and recorded traces.
-    ///
-    /// Observably identical to per-event dispatch — `alu`/`avx`/`sse` all
-    /// reduce to `advance(n)` (the batch is *not* coalesced: f64 addition
-    /// is non-associative, so each event performs its own `advance`
-    /// arithmetic), and a `SetKernel` repeating the current kernel is
-    /// skipped because `switch_kernel` only installs values that are
-    /// pure functions of `k` (plus a write-back/reload of the fetch
-    /// scalar that is the identity when `k` is unchanged). What the
-    /// loop saves is the per-event
-    /// call overhead and redundant kernel-cost updates, which dominate
-    /// replayed streams (recorded batches re-declare their kernel far
-    /// more often than they switch it).
-    fn drain_batch(&mut self, events: &[ProbeEvent]) {
-        for &e in events {
-            match e {
-                ProbeEvent::SetKernel(k) => {
-                    if k != self.kernel {
-                        self.switch_kernel(k);
-                    }
-                }
-                ProbeEvent::Alu(n) | ProbeEvent::Avx(n) | ProbeEvent::Sse(n) => self.advance(n),
-                ProbeEvent::Load { addr, bytes } => self.load(addr, bytes),
-                ProbeEvent::Store { addr, bytes } => self.store(addr, bytes),
-                ProbeEvent::Branch { pc, taken } => self.branch(pc, taken),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vstress_trace::CanonicalizingProbe;
 
-    fn scaled() -> CoreModel {
-        CoreModel::broadwell_scaled(16)
+    /// A scaled model fed raw addresses, canonicalized as a capture
+    /// would.
+    fn scaled() -> CanonicalizingProbe<CoreModel> {
+        CanonicalizingProbe::new(CoreModel::broadwell_scaled(16))
+    }
+
+    fn report(m: CanonicalizingProbe<CoreModel>) -> CoreReport {
+        m.into_inner().into_report()
     }
 
     #[test]
@@ -598,7 +510,7 @@ mod tests {
             m.load(0x100_000 + (i % 32) * 64, 32);
             m.branch(0x5000_0000_0010, i % 64 != 63);
         }
-        let r = m.into_report();
+        let r = report(m);
         assert!(r.ipc() > 2.2, "cache-resident SIMD should run fast, got {}", r.ipc());
         assert!(r.topdown().retiring > 0.55);
     }
@@ -612,7 +524,7 @@ mod tests {
             m.load(0x1000_0000 + i * 64, 32);
             m.alu(1);
         }
-        let r = m.into_report();
+        let r = report(m);
         let td = r.topdown();
         assert!(
             td.backend_memory > td.frontend && td.backend_memory > td.bad_speculation,
@@ -631,7 +543,7 @@ mod tests {
             m.alu(4);
             m.branch(0x5000_0000_0100, (x >> 62) & 1 == 1);
         }
-        let r = m.into_report();
+        let r = report(m);
         assert!(r.branch_miss_rate() > 0.3, "unpredictable branch: {}", r.branch_miss_rate());
         let td = r.topdown();
         assert!(td.bad_speculation > 0.1, "bad spec must show: {td:?}");
@@ -645,7 +557,7 @@ mod tests {
             m.alu(4);
             m.branch(0x5000_0000_0200, i % 2 == 0);
         }
-        let r = m.into_report();
+        let r = report(m);
         let td = r.topdown();
         assert!(td.backend_core > 0.2, "serial kernel must be core bound: {td:?}");
     }
@@ -660,7 +572,7 @@ mod tests {
                 m.alu(2);
                 m.branch(0x5000_0000_0300, i % 8 != 0);
             }
-            m.into_report().topdown().frontend
+            report(m).topdown().frontend
         };
         let big = run(Kernel::ModeDecision);
         let small = run(Kernel::Sad);
@@ -685,8 +597,8 @@ mod tests {
             spread.load(0x2000_0000 + i * 64, 32);
             spread.alu(200);
         }
-        let b = bunched.into_report();
-        let s = spread.into_report();
+        let b = report(bunched);
+        let s = report(spread);
         assert_eq!(b.instructions, s.instructions);
         assert!(
             b.cycles < s.cycles,
@@ -704,7 +616,7 @@ mod tests {
             m.load(0x3000_0000 + i * 64, 32);
             m.alu(1);
         }
-        let r = m.into_report();
+        let r = report(m);
         assert!(r.resource_stalls.rs > 0.0);
         assert!(
             r.resource_stalls.rob < r.resource_stalls.rs,
@@ -713,76 +625,13 @@ mod tests {
         );
     }
 
-    /// The batched drain must be invisible: a pseudo-random event stream
-    /// (kernel switches, repeated same-kernel declarations, loads/stores
-    /// with page locality, biased branches) driven per event and via one
-    /// `drain_batch` call must produce bit-identical reports — every f64
-    /// accumulator included, which is why the drain must not coalesce
-    /// compute events (f64 addition is non-associative).
-    #[test]
-    fn drain_batch_is_bit_identical_to_per_event_dispatch() {
-        let mut x = 0x1234_5678_9abc_def0u64;
-        let mut step = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let mut events = Vec::new();
-        for _ in 0..120_000 {
-            match step() % 12 {
-                0 => events
-                    .push(ProbeEvent::SetKernel(Kernel::ALL[step() as usize % Kernel::ALL.len()])),
-                1 => {
-                    // Re-declaring the current kernel is the common case in
-                    // recorded batches; the drain's skip path must be
-                    // equivalent to the full set_kernel.
-                    let k = Kernel::ALL[step() as usize % Kernel::ALL.len()];
-                    events.push(ProbeEvent::SetKernel(k));
-                    events.push(ProbeEvent::SetKernel(k));
-                }
-                2..=4 => events.push(ProbeEvent::Alu(1 + step() % 8)),
-                5 => events.push(ProbeEvent::Avx(1 + step() % 4)),
-                6 => events.push(ProbeEvent::Sse(1 + step() % 4)),
-                7 | 8 => events.push(ProbeEvent::Load {
-                    addr: 0x10_0000 + step() % (1 << 20),
-                    bytes: 1 + (step() % 64) as u32,
-                }),
-                9 => events.push(ProbeEvent::Store {
-                    addr: 0x30_0000 + step() % (1 << 18),
-                    bytes: 1 + (step() % 64) as u32,
-                }),
-                _ => events.push(ProbeEvent::Branch {
-                    pc: 0x5000_0000_0000 + (step() % 64) * 16,
-                    taken: step() % 3 == 0,
-                }),
-            }
-        }
-
-        let mut per_event = scaled();
-        for &e in &events {
-            match e {
-                ProbeEvent::SetKernel(k) => per_event.set_kernel(k),
-                ProbeEvent::Alu(n) => per_event.alu(n),
-                ProbeEvent::Avx(n) => per_event.avx(n),
-                ProbeEvent::Sse(n) => per_event.sse(n),
-                ProbeEvent::Load { addr, bytes } => per_event.load(addr, bytes),
-                ProbeEvent::Store { addr, bytes } => per_event.store(addr, bytes),
-                ProbeEvent::Branch { pc, taken } => per_event.branch(pc, taken),
-            }
-        }
-        let mut batched = scaled();
-        batched.drain_batch(&events);
-        assert_eq!(per_event.into_report(), batched.into_report());
-    }
-
     /// The capture/replay round trip must be invisible: recording a raw
     /// event stream through a `StreamRecorder` (which canonicalizes
     /// addresses and drops redundant kernel redeclarations) and draining
-    /// it via `consume_stream` must produce a report bit-identical to
-    /// driving the model live with the raw events (whose own
-    /// canonicalizer assigns the same pages in the same first-touch
-    /// order).
+    /// it via `replay` or `consume_stream` must produce a report
+    /// bit-identical to driving the model live with the raw events
+    /// through a `CanonicalizingProbe` (which assigns the same pages in
+    /// the same first-touch order).
     #[test]
     fn stream_replay_is_bit_identical_to_live_dispatch() {
         use vstress_trace::StreamRecorder;
@@ -835,11 +684,11 @@ mod tests {
             }
         }
         let (stream, _) = rec.finish();
-        let mut replayed = scaled();
-        stream.replay(&mut CanonicalSink(&mut replayed));
-        let mut chunked = scaled();
+        let mut replayed = CoreModel::broadwell_scaled(16);
+        stream.replay(&mut replayed);
+        let mut chunked = CoreModel::broadwell_scaled(16);
         chunked.consume_stream(&stream);
-        let live = live.into_report();
+        let live = report(live);
         assert_eq!(live, replayed.into_report());
         assert_eq!(live, chunked.into_report());
     }
@@ -854,7 +703,7 @@ mod tests {
             m.store(0x200_000 + (i % 1024) * 64, 32);
             m.branch(0x5000_0000_0400, i % 4 != 0);
         }
-        let r = m.into_report();
+        let r = report(m);
         assert_eq!(r.instructions, 10_000 * 5);
         let td = r.topdown();
         let sum = td.retiring + td.bad_speculation + td.frontend + td.backend;

@@ -1,15 +1,12 @@
 //! Probe event recording and replay.
 //!
-//! The distortion memo in the partition search (see
-//! `vstress-codecs::frame_coder`) reuses the *result* of a leaf
-//! evaluation whose inputs it has seen before — but the characterization
-//! contract is that the model-visible event stream is identical whether
-//! or not a result was memoized. [`RecordingProbe`] captures the exact
-//! event batch a computation emits (every event, in order, with its
-//! arguments) while forwarding it unchanged to the live probe;
-//! [`EventBatch::replay`] re-emits that batch on a memo hit, so the
-//! downstream simulators observe precisely the stream the recomputation
-//! would have produced.
+//! [`RecordingProbe`] captures the exact event batch a computation emits
+//! (every event, in order, with its arguments) while forwarding it
+//! unchanged to the wrapped probe; [`EventBatch::replay`] re-emits that
+//! batch later. The parallel encoders use the pair for the probe-merge
+//! contract: plan units that run on worker threads record into private
+//! batches, which the coordinator replays into the encode's probe in
+//! canonical order, so the probe observes precisely the serial stream.
 //!
 //! The same machinery doubles as a test oracle: two kernels are
 //! probe-equivalent iff they record equal batches (`tests/` in
@@ -80,36 +77,25 @@ impl EventBatch {
         &self.events
     }
 
-    /// Moves `other`'s events to the end of this batch, leaving `other`
-    /// empty — the canonical-merge building block: per-unit batches
-    /// recorded on worker threads are concatenated in canonical
-    /// (tile-major, row-major within tile) order to reconstruct the
-    /// serial probe stream.
-    pub fn append(&mut self, other: &mut EventBatch) {
-        self.events.append(&mut other.events);
-    }
-
-    /// Concatenates `batches` in the given (canonical) order into one
-    /// stream. `concat` of per-unit recordings equals one recording of
-    /// the units run back-to-back — the merge contract the tile
-    /// equivalence oracle pins.
-    pub fn concat<'a, I: IntoIterator<Item = &'a EventBatch>>(batches: I) -> EventBatch {
-        let mut out = EventBatch::new();
-        for b in batches {
-            out.events.extend_from_slice(&b.events);
-        }
-        out
-    }
-
     /// Re-emits every recorded event, in order, into `probe`.
-    ///
-    /// Delegates to [`Probe::drain_batch`], so probes with a specialized
-    /// batch drain (the pipeline model hoists its per-event kernel-cost
-    /// lookups) get it automatically; for everything else the default
-    /// drain dispatches the events one by one, exactly as this method
-    /// always has.
     pub fn replay<P: Probe>(&self, probe: &mut P) {
-        probe.drain_batch(&self.events);
+        for &e in &self.events {
+            match e {
+                ProbeEvent::SetKernel(k) => probe.set_kernel(k),
+                ProbeEvent::Alu(n) => probe.alu(n),
+                ProbeEvent::Avx(n) => probe.avx(n),
+                ProbeEvent::Sse(n) => probe.sse(n),
+                ProbeEvent::Load { addr, bytes } => probe.load(addr, bytes),
+                ProbeEvent::Store { addr, bytes } => probe.store(addr, bytes),
+                ProbeEvent::Branch { pc, taken } => probe.branch(pc, taken),
+            }
+        }
+    }
+}
+
+impl FromIterator<ProbeEvent> for EventBatch {
+    fn from_iter<I: IntoIterator<Item = ProbeEvent>>(events: I) -> Self {
+        EventBatch { events: events.into_iter().collect() }
     }
 }
 
@@ -184,15 +170,6 @@ impl<P: Probe> Probe for RecordingProbe<'_, P> {
     fn retired(&self) -> u64 {
         self.inner.retired()
     }
-
-    #[inline]
-    fn drain_batch(&mut self, events: &[ProbeEvent]) {
-        // Record the whole slice, then hand the wrapped probe one batched
-        // drain: the captured batch and the inner probe's final state are
-        // identical to per-event push-and-forward.
-        self.batch.events.extend_from_slice(events);
-        self.inner.drain_batch(events);
-    }
 }
 
 #[cfg(test)]
@@ -243,21 +220,9 @@ mod tests {
     }
 
     #[test]
-    fn drain_batch_equals_per_event_dispatch() {
-        let mut null = NullProbe;
-        let mut rec = RecordingProbe::new(&mut null);
-        drive(&mut rec);
-        let batch = rec.into_batch();
-
-        let mut direct = CountingProbe::new();
-        drive(&mut direct);
-        let mut drained = CountingProbe::new();
-        drained.drain_batch(batch.events());
-        assert_eq!(direct, drained, "one drain call must equal per-event dispatch");
-    }
-
-    #[test]
     fn tee_drain_feeds_both_sides_identically() {
+        // A batch replayed into a tee reaches both sides exactly as the
+        // live calls would have.
         use crate::probe::TeeProbe;
         let mut null = NullProbe;
         let mut rec = RecordingProbe::new(&mut null);
@@ -266,52 +231,12 @@ mod tests {
 
         let mut per_event = TeeProbe::new(CountingProbe::new(), CountingProbe::new());
         drive(&mut per_event);
-        let mut batched = TeeProbe::new(CountingProbe::new(), CountingProbe::new());
-        batched.drain_batch(batch.events());
+        let mut replayed = TeeProbe::new(CountingProbe::new(), CountingProbe::new());
+        batch.replay(&mut replayed);
         let (pa, pb) = per_event.into_parts();
-        let (ba, bb) = batched.into_parts();
-        assert_eq!(pa, ba);
-        assert_eq!(pb, bb);
-    }
-
-    #[test]
-    fn recording_drain_captures_and_forwards() {
-        let mut null = NullProbe;
-        let mut rec = RecordingProbe::new(&mut null);
-        drive(&mut rec);
-        let batch = rec.into_batch();
-
-        let mut inner = CountingProbe::new();
-        let mut rerec = RecordingProbe::new(&mut inner);
-        rerec.drain_batch(batch.events());
-        assert_eq!(rerec.into_batch(), batch, "batched drain must capture the full stream");
-        let mut reference = CountingProbe::new();
-        drive(&mut reference);
-        assert_eq!(inner, reference, "batched drain must forward the full stream");
-    }
-
-    #[test]
-    fn concat_of_split_recordings_equals_one_recording() {
-        // Record the same work twice: once as a single stream, once as
-        // two per-"unit" batches merged in order.
-        let mut null = NullProbe;
-        let mut whole = RecordingProbe::new(&mut null);
-        drive(&mut whole);
-        drive(&mut whole);
-        let whole = whole.into_batch();
-
-        let mut a = RecordingProbe::new(&mut null);
-        drive(&mut a);
-        let a = a.into_batch();
-        let mut b = RecordingProbe::new(&mut null);
-        drive(&mut b);
-        let mut b = b.into_batch();
-
-        assert_eq!(EventBatch::concat([&a, &b]), whole);
-        let mut merged = a;
-        merged.append(&mut b);
-        assert_eq!(merged, whole);
-        assert!(b.is_empty(), "append drains the source batch");
+        let (ra, rb) = replayed.into_parts();
+        assert_eq!(pa, ra);
+        assert_eq!(pb, rb);
     }
 
     #[test]

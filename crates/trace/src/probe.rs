@@ -1,6 +1,5 @@
 //! The [`Probe`] trait and its basic implementations.
 
-use crate::event::ProbeEvent;
 use crate::kernel::Kernel;
 use crate::mix::{OpClass, OpMix};
 use crate::profile::HotKernelProfile;
@@ -50,37 +49,12 @@ pub trait Probe {
     ///
     /// `false` means every report is a no-op ([`NullProbe`]), so callers
     /// may skip work whose *only* purpose is probe fidelity — e.g. the
-    /// partition-search memo skips recording replay batches when the
-    /// probe is dead, because replaying into a dead probe is itself a
-    /// no-op. Model-visible behaviour must not depend on this value.
+    /// partition-search memo serves repeated leaf evaluations only when
+    /// the probe is dead, since nothing can observe the events a served
+    /// leaf does not emit. Model-visible behaviour must not depend on
+    /// this value.
     fn is_live(&self) -> bool {
         true
-    }
-
-    /// Consumes a recorded event batch in one call.
-    ///
-    /// Semantically this *is* dispatching every event, in order, through
-    /// the corresponding method — the default body does exactly that, and
-    /// any override must remain observably identical. The hook exists so
-    /// replay-heavy consumers (memo replay into the pipeline model, branch
-    /// window replay) can hoist per-event overhead — virtual dispatch,
-    /// kernel/latency lookups — out of the loop. Because default trait
-    /// methods are monomorphized per implementing type, even the default
-    /// body turns one dynamically-dispatched call per *event* into one per
-    /// *batch* when the probe is behind `&mut dyn`.
-    #[inline]
-    fn drain_batch(&mut self, events: &[ProbeEvent]) {
-        for &e in events {
-            match e {
-                ProbeEvent::SetKernel(k) => self.set_kernel(k),
-                ProbeEvent::Alu(n) => self.alu(n),
-                ProbeEvent::Avx(n) => self.avx(n),
-                ProbeEvent::Sse(n) => self.sse(n),
-                ProbeEvent::Load { addr, bytes } => self.load(addr, bytes),
-                ProbeEvent::Store { addr, bytes } => self.store(addr, bytes),
-                ProbeEvent::Branch { pc, taken } => self.branch(pc, taken),
-            }
-        }
     }
 }
 
@@ -129,13 +103,6 @@ impl<P: Probe + ?Sized> Probe for &mut P {
     fn is_live(&self) -> bool {
         (**self).is_live()
     }
-
-    #[inline]
-    fn drain_batch(&mut self, events: &[ProbeEvent]) {
-        // Explicit forward so the referent's own override (not the default
-        // per-event loop over forwarding methods) handles the batch.
-        (**self).drain_batch(events);
-    }
 }
 
 /// A probe that does nothing; instrumentation compiles away entirely.
@@ -168,9 +135,6 @@ impl Probe for NullProbe {
     fn is_live(&self) -> bool {
         false
     }
-
-    #[inline]
-    fn drain_batch(&mut self, _events: &[ProbeEvent]) {}
 }
 
 /// Counts the instruction mix and per-kernel totals (Pin's `insmix` +
@@ -492,16 +456,6 @@ impl<A: Probe, B: Probe> Probe for TeeProbe<A, B> {
     #[inline]
     fn is_live(&self) -> bool {
         self.first.is_live() || self.second.is_live()
-    }
-
-    #[inline]
-    fn drain_batch(&mut self, events: &[ProbeEvent]) {
-        // Each side sees the identical event sequence; the sides are
-        // independent, so draining them one after the other is observably
-        // the same as interleaving per event — and lets each side use its
-        // own specialized drain.
-        self.first.drain_batch(events);
-        self.second.drain_batch(events);
     }
 }
 

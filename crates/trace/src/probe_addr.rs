@@ -1,7 +1,7 @@
 //! Synthetic, deterministic data addresses for probe instrumentation.
 //!
 //! The probes originally reported live host addresses. Page *bases* are
-//! handled by the pipeline model's first-touch canonicalization, but the
+//! handled by the stream recorder's first-touch canonicalization, but the
 //! sub-page offset (`addr & 0xfff`) survives it — and that offset depends
 //! on allocator state and ASLR, so cache set/line mapping (and therefore
 //! every simulated miss count) jittered between runs and thread counts.

@@ -1,12 +1,13 @@
 //! Capture-once / simulate-many event streams.
 //!
-//! [`crate::event::EventBatch`] records short probe bursts (a leaf memo's
-//! worth) as materialized `ProbeEvent`s; that representation costs 16
+//! [`crate::event::EventBatch`] records short probe bursts (a plan
+//! unit's worth) as materialized `ProbeEvent`s; that representation costs 16
 //! bytes per event, which is untenable for a full encode (tens of
 //! millions of events per clip). [`EventStream`] is the full-run form:
 //! the identical event sequence packed into chunked byte buffers at
-//! ~1–3 bytes per event, with data addresses already canonicalized (see
-//! [`AddressCanonicalizer`]), so one *recording* encode — driven against
+//! ~1–3 bytes per event, with data addresses already canonicalized
+//! (first-touch page renaming, see [`CanonicalizingProbe`]), so one
+//! *recording* encode — driven against
 //! a [`StreamRecorder`] instead of a live simulator — can later feed any
 //! number of simulations via [`EventStream::replay`].
 //!
@@ -49,7 +50,6 @@
 
 use crate::kernel::Kernel;
 use crate::probe::{CountingProbe, Probe};
-use crate::ProbeEvent;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -137,10 +137,10 @@ fn width_code(bytes: u32) -> u8 {
 /// are handed out sequentially from a fixed base, so feeding an
 /// already-canonical stream through a fresh canonicalizer maps every
 /// address to itself. That is what lets [`StreamRecorder`] canonicalize
-/// at capture time and the pipeline model skip its own canonicalization
-/// on the replay path while remaining bit-identical to the live run.
+/// at capture time and a consumer driven live through a
+/// [`CanonicalizingProbe`] see exactly the addresses a replay delivers.
 #[derive(Debug)]
-pub struct AddressCanonicalizer {
+struct AddressCanonicalizer {
     /// Open-addressed (page -> canonical page) table; power-of-two size.
     keys: Vec<u64>,
     vals: Vec<u64>,
@@ -156,15 +156,9 @@ pub struct AddressCanonicalizer {
 const PAGE_BITS: u32 = 12;
 const EMPTY: u64 = u64::MAX;
 
-impl Default for AddressCanonicalizer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl AddressCanonicalizer {
     /// An empty mapping; the first page touched becomes the base page.
-    pub fn new() -> Self {
+    fn new() -> Self {
         AddressCanonicalizer {
             keys: vec![EMPTY; 1 << 12],
             vals: vec![0; 1 << 12],
@@ -180,7 +174,7 @@ impl AddressCanonicalizer {
     /// Maps `addr` to its canonical address, assigning the next
     /// sequential canonical page on first touch.
     #[inline]
-    pub fn canon(&mut self, addr: u64) -> u64 {
+    fn canon(&mut self, addr: u64) -> u64 {
         let page = addr >> PAGE_BITS;
         if page == self.last_page {
             return (self.last_canonical << PAGE_BITS) | (addr & ((1 << PAGE_BITS) - 1));
@@ -536,20 +530,79 @@ impl Probe for StreamRecorder {
     fn retired(&self) -> u64 {
         self.counting.retired()
     }
+}
 
-    fn drain_batch(&mut self, events: &[ProbeEvent]) {
-        self.counting.drain_batch(events);
-        for &e in events {
-            match e {
-                ProbeEvent::SetKernel(k) => self.rec_set_kernel(k),
-                ProbeEvent::Alu(n) => self.rec_compute(OP_ALU, n),
-                ProbeEvent::Avx(n) => self.rec_compute(OP_AVX, n),
-                ProbeEvent::Sse(n) => self.rec_compute(OP_SSE, n),
-                ProbeEvent::Load { addr, bytes } => self.rec_mem(OP_LOAD, addr, bytes),
-                ProbeEvent::Store { addr, bytes } => self.rec_mem(OP_STORE, addr, bytes),
-                ProbeEvent::Branch { pc, taken } => self.rec_branch(pc, taken),
-            }
-        }
+/// A probe adaptor that renames data addresses to canonical pages, in
+/// first-touch order exactly as [`StreamRecorder`] does, and forwards
+/// every event to the wrapped probe.
+///
+/// Consumers that expect canonical addresses (the pipeline model) get
+/// them from a replayed [`EventStream`]; a caller that drives such a
+/// consumer live, with raw probe addresses, wraps it in this adaptor,
+/// and the consumer then sees the very sequence a capture-and-replay
+/// would have delivered.
+#[derive(Debug)]
+pub struct CanonicalizingProbe<P: Probe> {
+    inner: P,
+    canon: AddressCanonicalizer,
+}
+
+impl<P: Probe> CanonicalizingProbe<P> {
+    /// Wraps `inner` with a fresh page mapping.
+    pub fn new(inner: P) -> Self {
+        CanonicalizingProbe { inner, canon: AddressCanonicalizer::new() }
+    }
+
+    /// Unwraps the adaptor, returning the wrapped probe.
+    pub fn into_inner(self) -> P {
+        self.inner
+    }
+}
+
+impl<P: Probe> Probe for CanonicalizingProbe<P> {
+    #[inline]
+    fn set_kernel(&mut self, k: Kernel) {
+        self.inner.set_kernel(k);
+    }
+
+    #[inline]
+    fn alu(&mut self, n: u64) {
+        self.inner.alu(n);
+    }
+
+    #[inline]
+    fn avx(&mut self, n: u64) {
+        self.inner.avx(n);
+    }
+
+    #[inline]
+    fn sse(&mut self, n: u64) {
+        self.inner.sse(n);
+    }
+
+    #[inline]
+    fn load(&mut self, addr: u64, bytes: u32) {
+        self.inner.load(self.canon.canon(addr), bytes);
+    }
+
+    #[inline]
+    fn store(&mut self, addr: u64, bytes: u32) {
+        self.inner.store(self.canon.canon(addr), bytes);
+    }
+
+    #[inline]
+    fn branch(&mut self, pc: u64, taken: bool) {
+        self.inner.branch(pc, taken);
+    }
+
+    #[inline]
+    fn retired(&self) -> u64 {
+        self.inner.retired()
+    }
+
+    #[inline]
+    fn is_live(&self) -> bool {
+        self.inner.is_live()
     }
 }
 
@@ -798,7 +851,7 @@ impl<'de> serde::Deserialize<'de> for EventStream {
 mod tests {
     use super::*;
     use crate::probe::NullProbe;
-    use crate::RecordingProbe;
+    use crate::{ProbeEvent, RecordingProbe};
 
     /// A deterministic pseudo-random event mix resembling an encode
     /// stream: kernel phases with redundant redeclarations, page-local
@@ -837,24 +890,6 @@ mod tests {
         rec.finish()
     }
 
-    /// Canonicalizes an `EventBatch`'s addresses the same way the
-    /// recorder does, for comparisons against replayed streams.
-    fn canonical_events(events: &[ProbeEvent]) -> Vec<ProbeEvent> {
-        let mut canon = AddressCanonicalizer::new();
-        events
-            .iter()
-            .map(|&e| match e {
-                ProbeEvent::Load { addr, bytes } => {
-                    ProbeEvent::Load { addr: canon.canon(addr), bytes }
-                }
-                ProbeEvent::Store { addr, bytes } => {
-                    ProbeEvent::Store { addr: canon.canon(addr), bytes }
-                }
-                other => other,
-            })
-            .collect()
-    }
-
     /// Drops `SetKernel` events that redeclare the current kernel —
     /// the one normalization capture applies.
     fn dedup_kernels(events: &[ProbeEvent]) -> Vec<ProbeEvent> {
@@ -879,9 +914,9 @@ mod tests {
     #[test]
     fn replay_reproduces_the_canonical_deduped_sequence() {
         let mut null = NullProbe;
-        let mut reference = RecordingProbe::new(&mut null);
+        let mut reference = CanonicalizingProbe::new(RecordingProbe::new(&mut null));
         drive(&mut reference, 50_000);
-        let expect = dedup_kernels(&canonical_events(reference.into_batch().events()));
+        let expect = dedup_kernels(reference.into_inner().into_batch().events());
 
         let (stream, _) = capture(50_000, 4096);
         assert!(stream.chunks().len() > 1, "multi-chunk coverage");
@@ -933,52 +968,19 @@ mod tests {
     }
 
     #[test]
-    fn drain_batch_capture_equals_per_event_capture() {
-        let mut null = NullProbe;
-        let mut rec = RecordingProbe::new(&mut null);
-        drive(&mut rec, 20_000);
-        let batch = rec.into_batch();
-
-        let mut per_event = StreamRecorder::new().with_chunk_target(8192);
-        drive(&mut per_event, 20_000);
-        let (a, ca) = per_event.finish();
-
-        let mut batched = StreamRecorder::new().with_chunk_target(8192);
-        batched.drain_batch(batch.events());
-        let (b, cb) = batched.finish();
-        assert_eq!(a, b);
-        assert_eq!(ca, cb);
-    }
-
-    #[test]
     fn canonical_streams_are_canon_idempotent() {
-        // The recorder emits canonical addresses; feeding them through a
-        // fresh canonicalizer must be the identity. This is the property
-        // that lets replay consumers skip canonicalization.
+        // The recorder emits canonical addresses; canonicalizing them
+        // again must be the identity. This is the property that lets
+        // replay consumers skip canonicalization.
         let (stream, _) = capture(20_000, 1 << 20);
-        struct Check {
-            canon: AddressCanonicalizer,
-        }
-        impl Probe for Check {
-            fn set_kernel(&mut self, _k: Kernel) {}
-            fn alu(&mut self, _n: u64) {}
-            fn avx(&mut self, _n: u64) {}
-            fn sse(&mut self, _n: u64) {}
-            fn load(&mut self, addr: u64, _bytes: u32) {
-                assert_eq!(self.canon.canon(addr), addr);
-            }
-            fn store(&mut self, addr: u64, _bytes: u32) {
-                assert_eq!(self.canon.canon(addr), addr);
-            }
-            fn branch(&mut self, _pc: u64, _taken: bool) {}
-        }
-        impl std::fmt::Debug for Check {
-            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.write_str("Check")
-            }
-        }
-        let mut check = Check { canon: AddressCanonicalizer::new() };
-        stream.replay(&mut check);
+        let mut null = NullProbe;
+        let mut direct = RecordingProbe::new(&mut null);
+        stream.replay(&mut direct);
+        let direct = direct.into_batch();
+        let mut null = NullProbe;
+        let mut again = CanonicalizingProbe::new(RecordingProbe::new(&mut null));
+        stream.replay(&mut again);
+        assert_eq!(again.into_inner().into_batch(), direct);
     }
 
     #[test]

@@ -89,6 +89,16 @@ fn repro_unknown_flags_are_rejected_with_usage() {
 }
 
 #[test]
+fn repro_no_store_is_an_unknown_flag() {
+    // Leaving out `--store` is the only way to run without a store.
+    let (out, dir) = run_in_tempdir(REPRO, &["table1", "--no-store"]);
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("unknown flag: --no-store"), "{err}");
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
 fn repro_unknown_experiment_still_rejected() {
     let (out, dir) = run_in_tempdir(REPRO, &["figxx"]);
     assert_eq!(out.status.code(), Some(2));
@@ -143,6 +153,33 @@ fn transcode_store_value_validation() {
         assert!(stderr_of(&out).contains("--store needs a DIR"), "{}", stderr_of(&out));
         std::fs::remove_dir_all(dir).ok();
     }
+}
+
+#[test]
+fn transcode_trace_is_identical_with_and_without_the_store() {
+    // Without a store the window is recorded by a live probe on a second
+    // encode; with one it is sliced out of a replayed event stream, cold
+    // (captured here) or warm (loaded back). All three files must match.
+    let (plain, dir) = run_in_tempdir(TRANSCODE, &["trace", "clip:cat", "plain.vbt"]);
+    assert_eq!(plain.status.code(), Some(0), "{}", stderr_of(&plain));
+    for (name, misses) in [("cold.vbt", None), ("warm.vbt", Some("0 misses"))] {
+        let out = Command::new(TRANSCODE)
+            .args(["trace", "--store", "store", "clip:cat", name])
+            .current_dir(&dir)
+            .output()
+            .expect("spawn binary");
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(0), "{name}: {err}");
+        if let Some(misses) = misses {
+            assert!(err.contains(misses), "{name}: {err}");
+        }
+    }
+    let read = |name: &str| std::fs::read(dir.join(name)).unwrap();
+    let expect = read("plain.vbt");
+    assert!(!expect.is_empty());
+    assert!(read("cold.vbt") == expect, "cold store trace differs from the live one");
+    assert!(read("warm.vbt") == expect, "warm store trace differs from the live one");
+    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]

@@ -3,7 +3,7 @@
 
 use vstress::codecs::{CodecId, Encoder, EncoderParams};
 use vstress::pipeline::CoreModel;
-use vstress::trace::{CountingProbe, NullProbe, TeeProbe};
+use vstress::trace::{CanonicalizingProbe, CountingProbe, NullProbe, TeeProbe};
 use vstress::video::vbench::{self, FidelityConfig};
 
 #[test]
@@ -41,15 +41,17 @@ fn instrumentation_does_not_change_the_bitstream() {
 fn pipeline_reports_are_fully_deterministic() {
     // The instruction/branch stream is bit-deterministic, and since the
     // probes report synthetic page-aligned addresses (see
-    // `vstress_trace::probe_addr`) the cache statistics are too: address
-    // streams are a pure function of the encode, not of allocator state
-    // or ASLR, so every derived statistic reproduces exactly.
+    // `vstress_trace::probe_addr`) the cache statistics are too: after
+    // first-touch page renaming (each encode draws fresh page bases),
+    // address streams are a pure function of the encode, not of
+    // allocator state or ASLR, so every derived statistic reproduces
+    // exactly.
     let clip = vbench::clip("presentation").unwrap().synthesize(&FidelityConfig::smoke());
     let enc = Encoder::new(CodecId::Libaom, EncoderParams::new(44, 6)).unwrap();
     let run = |clip: &vstress::video::Clip| {
-        let mut model = CoreModel::broadwell_scaled(16);
+        let mut model = CanonicalizingProbe::new(CoreModel::broadwell_scaled(16));
         enc.encode(clip, &mut model).unwrap();
-        model.into_report()
+        model.into_inner().into_report()
     };
     let a = run(&clip);
     let b = run(&clip);

@@ -24,7 +24,7 @@ use vstress_video::synth::{SceneClass, SynthParams};
 use vstress_video::Clip;
 
 /// Canonicalizes data addresses by first-touch page renaming — the same
-/// remap the pipeline model applies. The synthetic allocator
+/// remap a stream capture applies. The synthetic allocator
 /// (`probe_addr::alloc`) hands every plane a fresh page base from a
 /// process-global counter, and pipelined encodes allocate planes
 /// concurrently, so two runs differ in page *bases* while agreeing on

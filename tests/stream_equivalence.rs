@@ -19,7 +19,7 @@ use vstress::codecs::{CodecId, Encoder};
 use vstress::pipeline::{CoreConfig, CoreModel};
 use vstress::runtime::cycles_to_seconds;
 use vstress::trace::stream::chunk_channel;
-use vstress::trace::{BranchWindowProbe, CountingProbe, TeeProbe};
+use vstress::trace::{BranchWindowProbe, CanonicalizingProbe, CountingProbe, TeeProbe};
 use vstress::video::Clip;
 use vstress::workbench::{
     capture_encode_with, characterize_from_capture, clip_for, equivalent_params, run_from_parts,
@@ -35,15 +35,17 @@ fn spec_for(codec: CodecId) -> RunSpec {
 
 /// The live oracle: one encode with a counting probe and a fresh core
 /// model both attached through a `TeeProbe`, so every event reaches the
-/// simulator directly — no recording, packing or replay in between.
+/// simulator directly — no recording, packing or replay in between. The
+/// model sits behind a `CanonicalizingProbe`, which renames pages in
+/// first-touch order as a capture does.
 fn characterize_live(spec: &RunSpec, clip: &Clip) -> CharacterizationRun {
     let encoder = Encoder::new(spec.codec, spec.params).unwrap();
-    let mut probe =
-        TeeProbe::new(CountingProbe::new(), CoreModel::broadwell_scaled(spec.cache_divisor));
+    let core = CoreModel::broadwell_scaled(spec.cache_divisor);
+    let mut probe = TeeProbe::new(CountingProbe::new(), CanonicalizingProbe::new(core));
     let out =
         encoder.encode_threaded(clip, &mut probe, spec.tile_workers, spec.frame_workers).unwrap();
     let (counting, core) = probe.into_parts();
-    let report = core.into_report();
+    let report = core.into_inner().into_report();
     CharacterizationRun {
         codec: spec.codec,
         params: spec.params,
@@ -119,11 +121,11 @@ fn capture_replay_is_bit_identical_for_both_tage_geometries() {
     let geometries: [(&str, MkTage); 2] =
         [("tage-8KB", Tage::seznec_8kb), ("tage-64KB", Tage::seznec_64kb)];
     for (label, mk) in geometries {
-        let mut live = CoreModel::new(
+        let mut live = CanonicalizingProbe::new(CoreModel::new(
             CoreConfig::broadwell(),
             HierarchyConfig::broadwell_scaled(spec.cache_divisor),
             mk(),
-        );
+        ));
         let encoder = Encoder::new(spec.codec, spec.params).unwrap();
         encoder.encode_threaded(&clip, &mut live, 1, 1).unwrap();
         let mut replay = CoreModel::new(
@@ -132,7 +134,7 @@ fn capture_replay_is_bit_identical_for_both_tage_geometries() {
             mk(),
         );
         replay.consume_stream(&cap.stream);
-        let live = live.into_report();
+        let live = live.into_inner().into_report();
         let replay = replay.into_report();
         assert_eq!(live, replay, "{label}: replay diverged from live");
         assert_eq!(
