@@ -38,6 +38,11 @@ impl Decoder {
 
     /// Decodes a vstress bitstream.
     ///
+    /// Nothing is allocated for the header's geometry before the
+    /// payload is checked to be long enough to code it (see
+    /// `min_payload_bits`), so a forged header fails instead of
+    /// allocating frames its payload could never fill.
+    ///
     /// # Errors
     ///
     /// Returns [`CodecError::CorruptBitstream`] on malformed input.
@@ -55,6 +60,13 @@ impl Decoder {
         let h = header.height as usize;
         let pw = w.div_ceil(sb) * sb;
         let ph = h.div_ceil(sb) * sb;
+        let superblocks = (pw / sb * (ph / sb)) as u64;
+        if min_payload_bits(u64::from(header.frame_count), superblocks) > 8 * payload.len() as u64 {
+            return Err(CodecError::CorruptBitstream {
+                offset: SequenceHeader::BYTES + payload.len(),
+                expected: "a payload long enough for the header's frames",
+            });
+        }
 
         let mut dec = RangeDecoder::new(payload);
         let mut state = CoderState::new();
@@ -106,6 +118,21 @@ impl Decoder {
         }
         Ok(DecodeResult { header, frames })
     }
+}
+
+/// A lower bound on the payload bits of any bitstream coding `frames`
+/// frames of `superblocks` superblocks each.
+///
+/// Each frame header is an 8-bit bypass literal (exactly 8 bits), and
+/// every superblock codes at least one leaf, whose skip flag is an
+/// adaptive bin. Context probabilities are clamped to
+/// `[16, 2032] / 2048`, so such a bin costs at least
+/// `-log2(2032 / 2048)` ≈ 0.0113 bits, which this bound rounds down to
+/// 1/128 bit. The range coder never writes fewer bytes than the coded
+/// information needs, less the 4 bytes of its register, and its flush
+/// writes 5 more, so the bound holds for the payload's length.
+fn min_payload_bits(frames: u64, superblocks: u64) -> u64 {
+    frames.saturating_mul(8 + superblocks / 128)
 }
 
 #[cfg(test)]
@@ -173,5 +200,33 @@ mod tests {
     fn garbage_input_is_rejected() {
         assert!(Decoder::new().decode(b"not a stream", &mut NullProbe).is_err());
         assert!(Decoder::new().decode(&[], &mut NullProbe).is_err());
+    }
+
+    #[test]
+    fn forged_geometry_is_rejected_before_allocating() {
+        let frames = (0..3).map(|_| Frame::new(16, 16).unwrap()).collect();
+        let clip = vstress_video::Clip::from_frames("tiny", frames, 30.0).unwrap();
+        let enc = Encoder::new(CodecId::X264, EncoderParams::new(30, 5)).unwrap();
+        let good = enc.encode(&clip, &mut NullProbe).unwrap().bitstream;
+        assert_eq!(Decoder::new().decode(&good, &mut NullProbe).unwrap().frames.len(), 3);
+        let (_, payload) = SequenceHeader::parse(&good).unwrap();
+        assert!(min_payload_bits(3, 1) <= 8 * payload.len() as u64);
+
+        // The header's width, height and frame count at bytes 6..12, as
+        // 65534 x 65534 and 65535 frames: gigabytes of frames for a
+        // payload of a few bytes.
+        let mut forged = good.clone();
+        for (at, v) in [(6, 65534u16), (8, 65534), (10, 65535)] {
+            forged[at..at + 2].copy_from_slice(&v.to_le_bytes());
+        }
+        // Each of the three alone is also more than the payload codes.
+        let mut frames_only = good.clone();
+        frames_only[10..12].copy_from_slice(&65535u16.to_le_bytes());
+        let mut size_only = good;
+        size_only[6..10].copy_from_slice(&[0xfe, 0xff, 0xfe, 0xff]);
+        for data in [forged, frames_only, size_only] {
+            let err = Decoder::new().decode(&data, &mut NullProbe).unwrap_err();
+            assert!(matches!(err, CodecError::CorruptBitstream { .. }), "{err}");
+        }
     }
 }

@@ -44,6 +44,12 @@
 //! one is cheaper than deserializing its pixel planes, and a fully
 //! store-served run never needs the clip at all.
 //!
+//! A stream loaded from the store is not checked at load: the decode of
+//! its first full replay is the check. If that replay fails, the cache
+//! quarantines the `stream` entry, drops the capture from memory and
+//! records the encode afresh, once; the lookup counts as a store miss,
+//! as a quarantine at load would have.
+//!
 //! Parallelism never changes results: each worker owns its probes and
 //! `CoreModel`, and every probed buffer carries a synthetic
 //! page-aligned address (see `vstress_trace::probe_addr`), so a spec's
@@ -56,19 +62,19 @@ pub mod store;
 pub use store::{DiskUsage, KindUsage, RunStore, StoreStats, SCHEMA_VERSION};
 
 use crate::workbench::{
-    capture_encode_with, characterize_from_capture, run_from_parts, CapturedEncode,
+    capture_encode_with, run_from_parts, try_characterize_from_capture, CapturedEncode,
     CharacterizationRun, RunSpec, WorkbenchError,
 };
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use store::{KIND_COST, KIND_RUN, KIND_STREAM, KIND_WINDOW};
 use vstress_codecs::batch::run_ordered;
 use vstress_codecs::{CodecId, Decoder, EncoderParams};
 use vstress_pipeline::CoreModel;
 use vstress_trace::stream::{chunk_channel, decode_chunk};
-use vstress_trace::{BranchRecord, BranchWindowProbe, ChunkTx, CountingProbe};
+use vstress_trace::{BranchRecord, BranchWindowProbe, ChunkTx, CountingProbe, StreamError};
 use vstress_video::vbench::FidelityConfig;
 use vstress_video::Clip;
 
@@ -251,6 +257,31 @@ pub struct EncodeDecodeCost {
     pub decode_instructions: u64,
 }
 
+/// A memoized captured encode, and whether its stream is still to be
+/// checked.
+struct Capture {
+    encode: CapturedEncode,
+    /// Loaded from the store and not yet replayed in full. Only such a
+    /// stream can fail to replay, and its failure is the store's fault.
+    /// The flag guards no other data (the capture is immutable), so
+    /// relaxed accesses do: a stale `true` costs one more full replay.
+    unchecked: AtomicBool,
+}
+
+impl std::ops::Deref for Capture {
+    type Target = CapturedEncode;
+
+    fn deref(&self) -> &CapturedEncode {
+        &self.encode
+    }
+}
+
+impl Capture {
+    fn is_unchecked(&self) -> bool {
+        self.unchecked.load(Ordering::Relaxed)
+    }
+}
+
 /// One cache entry: a per-key lock around the (eventually) computed
 /// value. A racer for an in-flight key blocks on the slot lock instead
 /// of recomputing; distinct keys never contend beyond the brief map
@@ -401,7 +432,7 @@ pub struct RunCache {
     clips: Mutex<HashMap<ClipKey, Slot<Clip>>>,
     windows: Mutex<HashMap<WindowKey, Slot<BranchWindow>>>,
     costs: Mutex<HashMap<RunKey, Slot<EncodeDecodeCost>>>,
-    captures: Mutex<HashMap<CaptureKey, Slot<CapturedEncode>>>,
+    captures: Mutex<HashMap<CaptureKey, Slot<Capture>>>,
     store: Option<Arc<RunStore>>,
     run_hits: AtomicU64,
     run_misses: AtomicU64,
@@ -515,16 +546,77 @@ impl RunCache {
         &self,
         spec: &RunSpec,
         sink: Option<ChunkTx>,
-    ) -> Result<Arc<CapturedEncode>, WorkbenchError> {
+    ) -> Result<Arc<Capture>, WorkbenchError> {
         let key = CaptureKey::of(spec);
         memo(&self.captures, &self.capture_hits, &self.capture_misses, key, || {
-            self.through_store(KIND_STREAM, &key.store_text(), || {
-                let clip = self.clip(spec.clip, &spec.fidelity)?;
-                self.encodes.fetch_add(1, Ordering::Relaxed);
-                self.stream_captures.fetch_add(1, Ordering::Relaxed);
-                capture_encode_with(spec, &clip, sink)
-            })
+            let stored = self.store.as_ref().and_then(|s| s.get(KIND_STREAM, &key.store_text()));
+            match stored {
+                Some(encode) => Ok(Capture { encode, unchecked: AtomicBool::new(true) }),
+                None => self.record(spec, sink),
+            }
         })
+    }
+
+    /// Performs the recording encode of `spec`'s point and writes the
+    /// capture to the store.
+    fn record(&self, spec: &RunSpec, sink: Option<ChunkTx>) -> Result<Capture, WorkbenchError> {
+        let clip = self.clip(spec.clip, &spec.fidelity)?;
+        self.encodes.fetch_add(1, Ordering::Relaxed);
+        self.stream_captures.fetch_add(1, Ordering::Relaxed);
+        let encode = capture_encode_with(spec, &clip, sink)?;
+        if let Some(store) = &self.store {
+            store.put(KIND_STREAM, &CaptureKey::of(spec).store_text(), &encode);
+        }
+        Ok(Capture { encode, unchecked: AtomicBool::new(false) })
+    }
+
+    /// Runs `replay` over `cap`, the capture of `spec`; given an
+    /// unchecked capture, `replay` must decode the whole stream. When a
+    /// stream loaded from the store fails to replay, its entry is
+    /// quarantined, the capture is dropped from memory and the encode is
+    /// recorded afresh, once; any other replay failure is an error.
+    fn replay_capture<T>(
+        &self,
+        spec: &RunSpec,
+        cap: Arc<Capture>,
+        replay: impl Fn(&Capture) -> Result<T, StreamError>,
+    ) -> Result<T, WorkbenchError> {
+        match replay(&cap) {
+            Ok(v) => {
+                cap.unchecked.store(false, Ordering::Relaxed);
+                Ok(v)
+            }
+            Err(why) if cap.is_unchecked() => {
+                let key = CaptureKey::of(spec);
+                self.reject_capture(&key, &cap, &why);
+                drop(cap);
+                let fresh =
+                    memo(&self.captures, &self.capture_hits, &self.capture_misses, key, || {
+                        self.record(spec, None)
+                    })?;
+                Ok(replay(&fresh)?)
+            }
+            Err(why) => Err(why.into()),
+        }
+    }
+
+    /// Drops `cap` from the memo and quarantines its store entry — unless
+    /// a racing replay of the same capture already did, so a recapture
+    /// written back meanwhile is never quarantined.
+    fn reject_capture(&self, key: &CaptureKey, cap: &Arc<Capture>, why: &StreamError) {
+        let Some(slot) = lock_unpoisoned(&self.captures).get(key).cloned() else { return };
+        if !lock_unpoisoned(&slot).as_ref().is_some_and(|held| Arc::ptr_eq(held, cap)) {
+            return;
+        }
+        let mut map = lock_unpoisoned(&self.captures);
+        if !map.get(key).is_some_and(|cur| Arc::ptr_eq(cur, &slot)) {
+            return;
+        }
+        map.remove(key);
+        drop(map);
+        if let Some(store) = &self.store {
+            store.reject(KIND_STREAM, &key.store_text(), why);
+        }
     }
 
     /// The characterization of `spec`, derived from the shared capture
@@ -552,39 +644,51 @@ impl RunCache {
     /// serially.
     fn run_via_capture(&self, spec: &RunSpec) -> Result<CharacterizationRun, WorkbenchError> {
         if !spec.model_pipeline {
+            // Counting-only: the run reads the capture's mix, not its stream.
             let cap = self.capture(spec, None)?;
-            return Ok(characterize_from_capture(spec, &cap));
+            return Ok(run_from_parts(spec, &cap, CoreModel::broadwell_scaled(spec.cache_divisor)));
         }
-        std::thread::scope(|scope| {
+        let (cap, fed) = std::thread::scope(|scope| {
             let (tx, rx) = chunk_channel(CAPTURE_CHANNEL_CHUNKS);
             let divisor = spec.cache_divisor;
             let consumer = scope.spawn(move || {
                 let mut core = CoreModel::broadwell_scaled(divisor);
-                let mut chunks = 0usize;
-                while let Some(chunk) = rx.recv() {
-                    core.consume_chunk(&chunk);
-                    chunks += 1;
-                }
-                (core, chunks)
+                let (mut chunks, mut events) = (0usize, 0u64);
+                // Stopping at an error drops the receiver, which lets the
+                // recording run to its end.
+                let decoded: Result<(), StreamError> = std::iter::from_fn(|| rx.recv())
+                    .try_for_each(|bytes| {
+                        events += decode_chunk(&bytes, &mut core)
+                            .map_err(|cause| StreamError::Malformed { chunk: chunks, cause })?;
+                        chunks += 1;
+                        Ok(())
+                    });
+                (core, chunks, decoded.map(|()| events))
             });
             let cap = self.capture(spec, Some(tx));
             // The sink is dropped even on a memo/store hit (the unused
             // closure owns it), so the consumer always drains and joins.
-            let (core, consumed) = match consumer.join() {
-                Ok(v) => v,
+            match consumer.join() {
+                Ok(fed) => (cap, fed),
                 Err(p) => std::panic::resume_unwind(p),
-            };
-            let cap = cap?;
-            if consumed == cap.stream.chunks().len() {
-                // Our sink fed the whole recording: the consumer's core
-                // has already simulated exactly this stream.
-                Ok(run_from_parts(spec, &cap, core))
-            } else {
-                // The capture came from elsewhere (memory or store) and
-                // the channel stayed empty; replay its stream serially.
-                Ok(characterize_from_capture(spec, &cap))
             }
-        })
+        });
+        let cap = cap?;
+        let (core, consumed, decoded) = fed;
+        if consumed > 0 || decoded.is_err() {
+            // Our sink fed the recording, so the consumer's core has
+            // simulated exactly this stream; it fails only on a recorder
+            // bug.
+            let counted = decoded?;
+            if counted != cap.stream.events() {
+                let events = cap.stream.events();
+                return Err(StreamError::EventCount { counted, events }.into());
+            }
+            return Ok(run_from_parts(spec, &cap, core));
+        }
+        // The capture came from elsewhere (memory or store) and the
+        // channel stayed empty; replay its stream serially.
+        self.replay_capture(spec, cap, |cap| try_characterize_from_capture(spec, cap))
     }
 
     /// The CBP study's mid-run branch window for one encode
@@ -611,18 +715,31 @@ impl RunCache {
         memo(&self.windows, &self.window_hits, &self.window_misses, key, || {
             self.through_store(KIND_WINDOW, &key.store_text(), || {
                 let cap = self.capture(spec, None)?;
-                let total = cap.mix.total();
-                let mut probe = BranchWindowProbe::mid_run(total, window.min(total));
-                // The probe ignores every event past the window, so the
-                // replay stops after the chunk that completes it.
-                for chunk in cap.stream.chunks() {
-                    decode_chunk(chunk, &mut probe);
-                    if probe.is_complete() {
-                        break;
+                self.replay_capture(spec, cap, |cap| {
+                    let total = cap.mix.total();
+                    let mut probe = BranchWindowProbe::mid_run(total, window.min(total));
+                    if cap.is_unchecked() {
+                        // A stored stream's first replay reads it whole:
+                        // that decode is its check.
+                        cap.stream.try_replay(&mut probe)?;
+                    } else {
+                        // The probe ignores every event past the window,
+                        // so the replay stops after the chunk that
+                        // completes it.
+                        for (chunk, bytes) in cap.stream.chunks().iter().enumerate() {
+                            decode_chunk(bytes, &mut probe)
+                                .map_err(|cause| StreamError::Malformed { chunk, cause })?;
+                            if probe.is_complete() {
+                                break;
+                            }
+                        }
                     }
-                }
-                let captured = probe.window_retired().max(1);
-                Ok(BranchWindow { records: probe.into_records().into(), instructions: captured })
+                    let captured = probe.window_retired().max(1);
+                    Ok(BranchWindow {
+                        records: probe.into_records().into(),
+                        instructions: captured,
+                    })
+                })
             })
         })
     }

@@ -36,12 +36,15 @@
 //! payload is the value in the shim's binary form
 //! ([`serde::to_bytes`]), so a stream's packed chunks and a capture's
 //! bitstream sit in the file as raw bytes. A read takes the file with
-//! one `fs::read`, checks the header's version, kind and key text
-//! against the lookup (catching cross-version copies, cross-kind mixups
-//! and hash collisions), checks the payload length and its
-//! [`checksum64`] (catching torn and bit-flipped payloads), and then
-//! decodes the payload in place — the file buffer is the only copy of
-//! the raw bytes until the value takes its own.
+//! one `fs::read` into the buffer it keeps, checks the header's version,
+//! kind and key text against the lookup (catching cross-version copies,
+//! cross-kind mixups and hash collisions), checks the payload length and
+//! its [`checksum64`] (catching torn and bit-flipped payloads), and then
+//! decodes the payload from that buffer through a
+//! [`serde::Deserializer::shared`]. A loaded event stream's chunks are
+//! ranges of the file buffer ([`serde::SharedBytes`]): the buffer is the
+//! only copy of the packed events for as long as the stream lives, and
+//! nothing decodes them until a replay does.
 //!
 //! # Robustness
 //!
@@ -50,18 +53,20 @@
 //!   leave a half-visible entry.
 //! * **Quarantine** — a corrupt or stale entry (parse failure, version,
 //!   kind or key mismatch, bad length or checksum, a payload that fails
-//!   to decode — including a stream chunk that fails validation) is
-//!   renamed to `*.quarantined` and treated as a miss; the value is
-//!   recomputed and re-stored. Every length in an entry is checked
-//!   against the bytes actually present before it is used, so a
-//!   malformed one never panics or allocates. Nothing in the store can
-//!   make a run fail.
+//!   to decode) is renamed to `*.quarantined` and treated as a miss; the
+//!   value is recomputed and re-stored. Every length in an entry is
+//!   checked against the bytes actually present before it is used, so a
+//!   malformed one never panics or allocates. A stored stream whose
+//!   chunks fail the decode of their first replay is quarantined the
+//!   same way, after the fact (`RunStore::reject`), and recaptured.
+//!   Nothing in the store can make a run fail.
 //! * **Versioning** — bumping [`SCHEMA_VERSION`] changes the directory,
 //!   invalidating every old entry at once; the in-file version field
 //!   additionally rejects entries copied across version directories.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Bump when the wire format of any stored payload type changes
 /// (serde shim format, `CharacterizationRun` fields, key text, …).
@@ -90,7 +95,7 @@ pub(crate) const KIND_WINDOW: &str = "window";
 /// Store layer for encode/decode cost pairs.
 pub(crate) const KIND_COST: &str = "cost";
 /// Store layer for captured encode event streams.
-pub(crate) const KIND_STREAM: &str = "stream";
+pub const KIND_STREAM: &str = "stream";
 
 /// FNV-1a 64-bit hash — the store's stable content address. (The std
 /// `Hasher` is explicitly not stable across releases; this is.)
@@ -325,10 +330,13 @@ impl RunStore {
         self.vdir.join(kind).join(format!("{:016x}.entry", fnv64(key_text.as_bytes())))
     }
 
-    /// Looks up `key_text` in layer `kind`. Counts a hit or a miss; a
-    /// corrupt entry is quarantined (renamed aside) and counted as both
-    /// `quarantined` and a miss.
-    pub(crate) fn get<T>(&self, kind: &str, key_text: &str) -> Option<T>
+    /// Looks up `key_text` in layer `kind` (`stream`, `run`, `window` or
+    /// `cost`). Counts a hit or a miss; a corrupt entry is quarantined
+    /// (renamed aside) and counted as both `quarantined` and a miss.
+    ///
+    /// The entry file is read into one buffer that the value may keep:
+    /// its [`serde::SharedBytes`] fields are ranges of it.
+    pub fn get<T>(&self, kind: &str, key_text: &str) -> Option<T>
     where
         T: for<'de> serde::Deserialize<'de>,
     {
@@ -337,34 +345,54 @@ impl RunStore {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         };
-        match self.parse_entry(kind, key_text, &data) {
+        // Wrapping the `Vec` moves no bytes; `Arc<[u8]>` would copy them.
+        match self.parse_entry(kind, key_text, &Arc::new(data)) {
             Ok(v) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(v)
             }
             Err(why) => {
-                // Move the bad entry aside (best effort) so the slot is
-                // free for the recomputed value and the evidence stays
-                // inspectable.
-                let mut quarantine = path.clone().into_os_string();
-                quarantine.push(".quarantined");
-                let _ = std::fs::rename(&path, &quarantine);
-                eprintln!(
-                    "vstress store: quarantined {} ({why})",
-                    path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default()
-                );
-                self.quarantined.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.quarantine(&path, &why);
                 None
             }
         }
     }
 
-    fn parse_entry<T>(&self, kind: &str, key_text: &str, data: &[u8]) -> Result<T, serde::Error>
+    /// Quarantines the entry of `key_text` in layer `kind` whose value
+    /// [`RunStore::get`] served, after a check only its use can make
+    /// failed: a stored event stream whose chunks fail to replay. The
+    /// lookup is then counted exactly as a quarantine inside `get`: a
+    /// miss and a quarantine, not a hit.
+    pub(crate) fn reject(&self, kind: &str, key_text: &str, why: &dyn std::fmt::Display) {
+        self.quarantine(&self.entry_path(kind, key_text), why);
+        self.hits.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Moves the bad entry at `path` aside (best effort) so the slot is
+    /// free for the recomputed value and the evidence stays inspectable,
+    /// and counts it as quarantined and a miss.
+    fn quarantine(&self, path: &Path, why: &dyn std::fmt::Display) {
+        let mut quarantine = path.to_owned().into_os_string();
+        quarantine.push(".quarantined");
+        let _ = std::fs::rename(path, &quarantine);
+        eprintln!(
+            "vstress store: quarantined {} ({why})",
+            path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default()
+        );
+        self.quarantined.fetch_add(1, Ordering::Relaxed);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn parse_entry<T>(
+        &self,
+        kind: &str,
+        key_text: &str,
+        data: &Arc<Vec<u8>>,
+    ) -> Result<T, serde::Error>
     where
         T: for<'de> serde::Deserialize<'de>,
     {
-        let mut d = serde::Deserializer::binary(data);
+        let mut d = serde::Deserializer::shared(data);
         let header = <EntryHeader as serde::Deserialize>::deserialize(&mut d)?;
         if header.version != self.version {
             return Err(serde::Error::new(format!(
@@ -389,7 +417,9 @@ impl RunStore {
         if checksum64(payload) != header.checksum {
             return Err(serde::Error::new("payload checksum mismatch"));
         }
-        serde::from_bytes(payload)
+        let value = T::deserialize(&mut d)?;
+        d.end()?;
+        Ok(value)
     }
 
     /// Stores `value` under `key_text` in layer `kind` via an atomic

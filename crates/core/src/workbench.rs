@@ -4,7 +4,7 @@ use crate::runtime::cycles_to_seconds;
 use vstress_codecs::taskgraph::TaskTrace;
 use vstress_codecs::{CodecError, CodecId, Encoder, EncoderParams};
 use vstress_pipeline::{CoreModel, CoreReport};
-use vstress_trace::{ChunkTx, EventStream, HotKernelProfile, OpMix, StreamRecorder};
+use vstress_trace::{ChunkTx, EventStream, HotKernelProfile, OpMix, StreamError, StreamRecorder};
 use vstress_video::vbench::{self, FidelityConfig};
 use vstress_video::{Clip, VideoError};
 
@@ -133,6 +133,8 @@ pub enum WorkbenchError {
     Video(VideoError),
     /// Encoder rejected the parameters or input.
     Codec(CodecError),
+    /// A captured event stream failed to replay.
+    Stream(StreamError),
 }
 
 impl std::fmt::Display for WorkbenchError {
@@ -140,6 +142,7 @@ impl std::fmt::Display for WorkbenchError {
         match self {
             WorkbenchError::Video(e) => write!(f, "video: {e}"),
             WorkbenchError::Codec(e) => write!(f, "codec: {e}"),
+            WorkbenchError::Stream(e) => write!(f, "stream: {e}"),
         }
     }
 }
@@ -155,6 +158,12 @@ impl From<VideoError> for WorkbenchError {
 impl From<CodecError> for WorkbenchError {
     fn from(e: CodecError) -> Self {
         WorkbenchError::Codec(e)
+    }
+}
+
+impl From<StreamError> for WorkbenchError {
+    fn from(e: StreamError) -> Self {
+        WorkbenchError::Stream(e)
     }
 }
 
@@ -298,12 +307,30 @@ pub fn capture_encode(spec: &RunSpec) -> Result<CapturedEncode, WorkbenchError> 
 ///
 /// Bit-identical to a fused live encode driving the core model directly
 /// — the `stream_equivalence` integration test is the oracle.
-pub fn characterize_from_capture(spec: &RunSpec, cap: &CapturedEncode) -> CharacterizationRun {
+///
+/// # Errors
+///
+/// Returns the [`StreamError`] of a stream that fails to replay, which
+/// only a damaged stored stream does.
+pub fn try_characterize_from_capture(
+    spec: &RunSpec,
+    cap: &CapturedEncode,
+) -> Result<CharacterizationRun, StreamError> {
     let mut core = CoreModel::broadwell_scaled(spec.cache_divisor);
     if spec.model_pipeline {
-        core.consume_stream(&cap.stream);
+        cap.stream.try_replay(&mut core)?;
     }
-    run_from_parts(spec, cap, core)
+    Ok(run_from_parts(spec, cap, core))
+}
+
+/// [`try_characterize_from_capture`] for a capture recorded in this
+/// process.
+///
+/// # Panics
+///
+/// Panics if the capture's stream fails to replay.
+pub fn characterize_from_capture(spec: &RunSpec, cap: &CapturedEncode) -> CharacterizationRun {
+    try_characterize_from_capture(spec, cap).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Assembles the run record from a capture plus a core model that has

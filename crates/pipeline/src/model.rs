@@ -355,10 +355,15 @@ impl<B: BranchPredictor> CoreModel<B> {
     /// [`CanonicalizingProbe`](vstress_trace::CanonicalizingProbe)
     /// (pinned by `stream_replay_is_bit_identical_to_live_dispatch`
     /// below and the full-encode oracle in `tests/stream_equivalence.rs`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream fails to replay. A stream that may be
+    /// damaged, such as one loaded from disk, is replayed with
+    /// [`EventStream::try_replay`] and the model as its probe instead,
+    /// which returns the error.
     pub fn consume_stream(&mut self, stream: &EventStream) {
-        for chunk in stream.chunks() {
-            self.consume_chunk(chunk);
-        }
+        stream.replay(self);
     }
 
     /// Drains one packed chunk of a captured stream (see
@@ -366,8 +371,15 @@ impl<B: BranchPredictor> CoreModel<B> {
     /// order; this is the consumer half of the capture/simulate
     /// pipeline, draining a [`vstress_trace::ChunkRx`] while the encode
     /// is still producing.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a malformed chunk; [`decode_chunk`] with the model as
+    /// its probe returns the error instead.
     pub fn consume_chunk(&mut self, chunk: &[u8]) {
-        decode_chunk(chunk, self);
+        if let Err(e) = decode_chunk(chunk, self) {
+            panic!("malformed event stream chunk: {e}");
+        }
     }
 
     /// Charges a data-side miss stall and the associated resource pressure.

@@ -42,7 +42,10 @@ pub use mix::{OpClass, OpMix};
 pub use probe::{CountingProbe, NullProbe, Probe, SinkProbe, TeeProbe};
 pub use profile::HotKernelProfile;
 pub use record::{BranchRecord, MemAccess};
-pub use stream::{CanonicalizingProbe, ChunkRx, ChunkTx, EventStream, StreamRecorder};
+pub use stream::{
+    CanonicalizingProbe, ChunkRx, ChunkTx, EventStream, MalformedChunk, SharedBytes, StreamError,
+    StreamRecorder,
+};
 pub use window::BranchWindowProbe;
 
 /// Computes a stable 64-bit synthetic program counter for a static branch

@@ -32,10 +32,19 @@
 //! | 5  | store      | `log2(bytes)+1` or 0          | `bytes` (if 0), zigzag addr delta |
 //! | 6  | branch     | taken flag                    | zigzag PC delta  |
 //!
+//! Decoding is total: [`decode_chunk`] returns a [`MalformedChunk`]
+//! error for a byte the table gives no meaning (opcode 7, a
+//! `set_kernel` index past [`Kernel::ALL`]) and for a varint that is cut
+//! short or runs past ten bytes, and [`EventStream::try_replay`] checks
+//! at the end that the chunks held the recorded event count.
+//!
 //! A persisted stream (its serde form) is the format version, the event
-//! count and one byte-string token per chunk. Loading it validates every
-//! chunk against this table once, so a stored stream that would make a
-//! replay panic fails to deserialize instead.
+//! count and one byte-string token per chunk. Loading it checks only
+//! that framing: the chunks are not decoded until a replay, whose own
+//! decode is the check, so a stream costs one decode, not a validation
+//! pass and then a decode. Loaded from a
+//! [`serde::Deserializer::shared`] buffer (the store's entry file), the
+//! chunks are ranges of that one buffer ([`SharedBytes`]), not copies.
 //!
 //! # Replay contract
 //!
@@ -50,6 +59,7 @@
 
 use crate::kernel::Kernel;
 use crate::probe::{CountingProbe, Probe};
+pub use serde::SharedBytes;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -82,25 +92,27 @@ fn push_varint(out: &mut Vec<u8>, mut v: u64) {
     out.push(v as u8);
 }
 
+/// The longest LEB128 encoding of a `u64`.
+const MAX_VARINT_BYTES: u32 = 10;
+
 /// Reads one LEB128 varint, advancing the cursor slice past it. Slice
 /// patterns keep the loop free of index bounds checks.
-///
-/// # Panics
-///
-/// Panics if the varint runs past the end of the cursor.
 #[inline]
-fn read_varint(rest: &mut &[u8]) -> u64 {
+fn read_varint(rest: &mut &[u8]) -> Result<u64, MalformedChunk> {
     let mut v = 0u64;
     let mut shift = 0u32;
     while let [b, tail @ ..] = *rest {
         *rest = tail;
         v |= u64::from(b & 0x7f) << shift;
         if b & 0x80 == 0 {
-            return v;
+            return Ok(v);
         }
         shift += 7;
+        if shift == 7 * MAX_VARINT_BYTES {
+            return Err(MalformedChunk::LongVarint);
+        }
     }
-    panic!("truncated varint in packed chunk");
+    Err(MalformedChunk::TruncatedVarint)
 }
 
 #[inline]
@@ -233,14 +245,78 @@ impl AddressCanonicalizer {
 /// A full-run probe event sequence in packed chunked form.
 ///
 /// Produced by [`StreamRecorder::finish`]; consumed by
-/// [`EventStream::replay`] (all chunks, in order, into one probe) or
-/// chunk-by-chunk via [`decode_chunk`]. Chunks are shared (`Arc`) so a
-/// stream can be fanned out to concurrent consumers without copying.
+/// [`EventStream::try_replay`] (all chunks, in order, into one probe) or
+/// chunk-by-chunk via [`decode_chunk`]. Chunks are [`SharedBytes`] so a
+/// stream can be fanned out to concurrent consumers without copying: a
+/// recorded chunk owns its buffer, a loaded one is a range of the buffer
+/// it was loaded from. Equality compares the chunks' bytes.
 #[derive(Clone, PartialEq, Eq)]
 pub struct EventStream {
-    chunks: Vec<Arc<[u8]>>,
+    chunks: Vec<SharedBytes>,
     events: u64,
 }
+
+/// Why a packed chunk cannot be decoded: it holds a byte sequence no
+/// recorder writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MalformedChunk {
+    /// A varint runs past the end of the chunk.
+    TruncatedVarint,
+    /// A varint runs past ten bytes, the longest `u64` encoding.
+    LongVarint,
+    /// An opcode byte carries operation 7, which names no event.
+    Opcode7,
+    /// A `set_kernel` index lies past [`Kernel::ALL`].
+    KernelIndex,
+}
+
+impl std::fmt::Display for MalformedChunk {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            MalformedChunk::TruncatedVarint => "truncated varint",
+            MalformedChunk::LongVarint => "varint longer than ten bytes",
+            MalformedChunk::Opcode7 => "opcode 7 starts no event",
+            MalformedChunk::KernelIndex => "set_kernel index past the kernel table",
+        })
+    }
+}
+
+impl std::error::Error for MalformedChunk {}
+
+/// Why an [`EventStream`] failed to replay.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StreamError {
+    /// Chunk `chunk` (0-based) cannot be decoded.
+    Malformed {
+        /// Index of the chunk.
+        chunk: usize,
+        /// What is wrong with it.
+        cause: MalformedChunk,
+    },
+    /// The chunks decoded to a different number of events than the
+    /// stream records.
+    EventCount {
+        /// Events the chunks held.
+        counted: u64,
+        /// Events the stream records.
+        events: u64,
+    },
+}
+
+impl std::fmt::Display for StreamError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StreamError::Malformed { chunk, cause } => {
+                write!(f, "event stream chunk {chunk}: {cause}")
+            }
+            StreamError::EventCount { counted, events } => {
+                write!(f, "event stream chunks hold {counted} events, header says {events}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for StreamError {}
 
 impl std::fmt::Debug for EventStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -259,7 +335,7 @@ impl EventStream {
     }
 
     /// The packed chunks in stream order.
-    pub fn chunks(&self) -> &[Arc<[u8]>] {
+    pub fn chunks(&self) -> &[SharedBytes] {
         &self.chunks
     }
 
@@ -268,73 +344,108 @@ impl EventStream {
         self.chunks.iter().map(|c| c.len()).sum()
     }
 
-    /// Re-emits every recorded event, in order, into `probe`.
+    /// Re-emits every recorded event, in order, into `probe`, and then
+    /// checks that the chunks held the recorded event count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StreamError::Malformed`] at the first chunk that cannot
+    /// be decoded (the events before it have reached `probe`), and
+    /// [`StreamError::EventCount`] when the count differs. A recorded
+    /// stream never fails; a loaded one fails when its stored bytes are
+    /// damaged in a way the store's checksum did not catch.
+    pub fn try_replay<P: Probe>(&self, probe: &mut P) -> Result<(), StreamError> {
+        let mut counted = 0u64;
+        for (chunk, bytes) in self.chunks.iter().enumerate() {
+            counted += decode_chunk(bytes, probe)
+                .map_err(|cause| StreamError::Malformed { chunk, cause })?;
+        }
+        if counted == self.events {
+            Ok(())
+        } else {
+            Err(StreamError::EventCount { counted, events: self.events })
+        }
+    }
+
+    /// [`EventStream::try_replay`] for a stream known to be well formed,
+    /// such as one recorded in this process.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`StreamError`] if the replay fails.
     pub fn replay<P: Probe>(&self, probe: &mut P) {
-        for chunk in &self.chunks {
-            decode_chunk(chunk, probe);
+        if let Err(e) = self.try_replay(probe) {
+            panic!("{e}");
         }
     }
 }
 
-/// Decodes one packed chunk, dispatching each event into `probe`.
+/// Decodes one packed chunk, dispatching each event into `probe`, and
+/// returns the number of events it held.
 ///
 /// Address and PC deltas are chunk-local, so any chunk of a stream can
 /// be decoded on its own; replaying a whole stream is [`decode_chunk`]
 /// over its chunks in order.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on a malformed chunk (truncated varint, opcode past the
-/// event table, kernel index past [`Kernel::ALL`]). Recorded chunks are
-/// well formed and a deserialized stream has every chunk validated, so
-/// this only fires on in-process memory corruption or a format bug.
-pub fn decode_chunk<P: Probe>(bytes: &[u8], probe: &mut P) {
+/// Returns [`MalformedChunk`] at the first byte sequence no recorder
+/// writes; the events before it have reached `probe`.
+pub fn decode_chunk<P: Probe>(bytes: &[u8], probe: &mut P) -> Result<u64, MalformedChunk> {
     let mut rest = bytes;
     let mut prev_addr = 0u64;
     let mut prev_pc = 0u64;
+    let mut events = 0u64;
     // A slice-pattern cursor: each step peels the opcode byte and varint
     // payloads off the front, so the loop carries no index arithmetic or
     // per-byte bounds checks.
     while let [b, tail @ ..] = rest {
         let b = *b;
         rest = tail;
+        events += 1;
         let arg = u64::from(b >> 3);
         match b & 0x7 {
             OP_ALU => {
-                let n = if arg == COMPUTE_ESCAPE { read_varint(&mut rest) } else { arg };
+                let n = if arg == COMPUTE_ESCAPE { read_varint(&mut rest)? } else { arg };
                 probe.alu(n);
             }
             OP_LOAD => {
                 let width =
-                    if arg == 0 { read_varint(&mut rest) as u32 } else { 1u32 << (arg - 1) };
-                let addr = (prev_addr as i64).wrapping_add(unzigzag(read_varint(&mut rest))) as u64;
+                    if arg == 0 { read_varint(&mut rest)? as u32 } else { 1u32 << (arg - 1) };
+                let addr =
+                    (prev_addr as i64).wrapping_add(unzigzag(read_varint(&mut rest)?)) as u64;
                 prev_addr = addr;
                 probe.load(addr, width);
             }
             OP_STORE => {
                 let width =
-                    if arg == 0 { read_varint(&mut rest) as u32 } else { 1u32 << (arg - 1) };
-                let addr = (prev_addr as i64).wrapping_add(unzigzag(read_varint(&mut rest))) as u64;
+                    if arg == 0 { read_varint(&mut rest)? as u32 } else { 1u32 << (arg - 1) };
+                let addr =
+                    (prev_addr as i64).wrapping_add(unzigzag(read_varint(&mut rest)?)) as u64;
                 prev_addr = addr;
                 probe.store(addr, width);
             }
             OP_BRANCH => {
-                let pc = (prev_pc as i64).wrapping_add(unzigzag(read_varint(&mut rest))) as u64;
+                let pc = (prev_pc as i64).wrapping_add(unzigzag(read_varint(&mut rest)?)) as u64;
                 prev_pc = pc;
                 probe.branch(pc, arg & 1 == 1);
             }
             OP_AVX => {
-                let n = if arg == COMPUTE_ESCAPE { read_varint(&mut rest) } else { arg };
+                let n = if arg == COMPUTE_ESCAPE { read_varint(&mut rest)? } else { arg };
                 probe.avx(n);
             }
             OP_SSE => {
-                let n = if arg == COMPUTE_ESCAPE { read_varint(&mut rest) } else { arg };
+                let n = if arg == COMPUTE_ESCAPE { read_varint(&mut rest)? } else { arg };
                 probe.sse(n);
             }
-            OP_SET_KERNEL => probe.set_kernel(Kernel::ALL[arg as usize]),
-            _ => unreachable!("3-bit opcode"),
+            OP_SET_KERNEL => {
+                let kernel = Kernel::ALL.get(arg as usize).ok_or(MalformedChunk::KernelIndex)?;
+                probe.set_kernel(*kernel);
+            }
+            _ => return Err(MalformedChunk::Opcode7),
         }
     }
+    Ok(events)
 }
 
 /// A live probe that packs the full event sequence into an
@@ -355,7 +466,7 @@ pub struct StreamRecorder {
     counting: CountingProbe,
     canon: AddressCanonicalizer,
     chunk: Vec<u8>,
-    chunks: Vec<Arc<[u8]>>,
+    chunks: Vec<SharedBytes>,
     chunk_target: usize,
     prev_addr: u64,
     prev_pc: u64,
@@ -409,6 +520,8 @@ impl StreamRecorder {
     /// of the full run.
     pub fn finish(mut self) -> (EventStream, CountingProbe) {
         if !self.chunk.is_empty() {
+            // The last chunk is short; give back its unused capacity.
+            self.chunk.shrink_to_fit();
             self.flush_chunk();
         }
         drop(self.sink.take());
@@ -420,9 +533,10 @@ impl StreamRecorder {
             &mut self.chunk,
             Vec::with_capacity(self.chunk_target.min(CHUNK_TARGET) + 64),
         );
-        let chunk: Arc<[u8]> = filled.into();
+        // The filled `Vec` becomes the chunk's buffer as it is: no copy.
+        let chunk = SharedBytes::from(filled);
         if let Some(tx) = &self.sink {
-            tx.send(Arc::clone(&chunk));
+            tx.send(chunk.clone());
         }
         self.chunks.push(chunk);
         self.prev_addr = 0;
@@ -611,7 +725,7 @@ impl<P: Probe> Probe for CanonicalizingProbe<P> {
 // ---------------------------------------------------------------------------
 
 struct ChannelState {
-    queue: VecDeque<Arc<[u8]>>,
+    queue: VecDeque<SharedBytes>,
     tx_closed: bool,
     rx_closed: bool,
 }
@@ -687,7 +801,7 @@ impl std::fmt::Debug for ChunkRx {
 impl ChunkTx {
     /// Enqueues `chunk`, blocking while the channel is full. If the
     /// consumer is gone the chunk is dropped.
-    pub fn send(&self, chunk: Arc<[u8]>) {
+    pub fn send(&self, chunk: SharedBytes) {
         let mut state = self.inner.lock();
         while state.queue.len() >= self.inner.capacity && !state.rx_closed {
             state = self.inner.space.wait(state).unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -712,7 +826,7 @@ impl ChunkRx {
     /// Dequeues the next chunk, blocking while the channel is empty.
     /// Returns `None` once the producer has closed and the queue is
     /// drained.
-    pub fn recv(&self) -> Option<Arc<[u8]>> {
+    pub fn recv(&self) -> Option<SharedBytes> {
         let mut state = self.inner.lock();
         loop {
             if let Some(chunk) = state.queue.pop_front() {
@@ -739,72 +853,6 @@ impl Drop for ChunkRx {
 // Persistence (serde shim wire format).
 // ---------------------------------------------------------------------------
 
-/// [`VARINTS_AFTER`] entry of a byte that starts no event.
-const BAD_OPCODE: u8 = u8::MAX;
-
-/// Number of trailing varints each opcode byte announces, or
-/// [`BAD_OPCODE`] for a byte that starts no event: opcode 7, or a
-/// `set_kernel` index past [`Kernel::ALL`].
-const VARINTS_AFTER: [u8; 256] = {
-    let mut table = [0u8; 256];
-    let mut b = 0;
-    while b < 256 {
-        let arg = (b >> 3) as u64;
-        let escaped = arg == COMPUTE_ESCAPE;
-        table[b] = match (b & 0x7) as u8 {
-            OP_SET_KERNEL if (arg as usize) < Kernel::ALL.len() => 0,
-            OP_ALU | OP_AVX | OP_SSE => escaped as u8,
-            OP_LOAD | OP_STORE => 1 + (arg == 0) as u8,
-            OP_BRANCH => 1,
-            _ => BAD_OPCODE,
-        };
-        b += 1;
-    }
-    table
-};
-
-/// The longest LEB128 encoding of a `u64`.
-const MAX_VARINT_BYTES: usize = 10;
-
-/// Checks that `bytes` is a well-formed packed chunk — every opcode
-/// names an event, every `set_kernel` index is in [`Kernel::ALL`], every
-/// varint ends within ten bytes and inside the chunk — and returns its
-/// event count. A chunk that passes cannot make [`decode_chunk`] panic.
-///
-/// One flat pass over the bytes: an opcode byte says how many varint
-/// terminators (bytes with the high bit clear) its event still owes.
-fn validate_chunk(bytes: &[u8]) -> Result<u64, &'static str> {
-    let mut events = 0u64;
-    let mut owed = 0u8;
-    let mut continued = 0usize;
-    for &b in bytes {
-        if owed == 0 {
-            owed = VARINTS_AFTER[usize::from(b)];
-            if owed == BAD_OPCODE {
-                return Err(if b & 0x7 == OP_SET_KERNEL {
-                    "set_kernel index past the kernel table"
-                } else {
-                    "opcode 7 starts no event"
-                });
-            }
-            events += 1;
-        } else if b & 0x80 != 0 {
-            continued += 1;
-            if continued == MAX_VARINT_BYTES {
-                return Err("varint longer than ten bytes");
-            }
-        } else {
-            continued = 0;
-            owed -= 1;
-        }
-    }
-    if owed == 0 {
-        Ok(events)
-    } else {
-        Err("truncated varint")
-    }
-}
-
 impl serde::Serialize for EventStream {
     fn serialize(&self, s: &mut serde::Serializer) {
         s.write_u64(u64::from(STREAM_FORMAT_VERSION));
@@ -816,10 +864,11 @@ impl serde::Serialize for EventStream {
     }
 }
 
-/// Loads a stream and validates every chunk once (see
-/// `validate_chunk`): a malformed chunk, or chunks whose events do not
-/// add up to the recorded count, is a deserialization error, so the
-/// store quarantines the entry instead of a replay panicking later.
+/// Loads a stream, checking its framing only: the format version, the
+/// event count and the chunk tokens. The chunks' contents are checked
+/// by the decode of a replay ([`EventStream::try_replay`]). From a
+/// [`serde::Deserializer::shared`] input every chunk is a range of the
+/// input buffer.
 impl<'de> serde::Deserialize<'de> for EventStream {
     fn deserialize(d: &mut serde::Deserializer<'de>) -> Result<Self, serde::Error> {
         let version = d.read_u64()?;
@@ -830,18 +879,10 @@ impl<'de> serde::Deserialize<'de> for EventStream {
         }
         let events = d.read_u64()?;
         let n = d.read_seq_len()?;
+        // Cap the pre-allocation: `n` is untrusted input.
         let mut chunks = Vec::with_capacity(n.min(4096));
-        let mut counted = 0u64;
-        for i in 0..n {
-            let chunk = d.read_bytes()?;
-            counted += validate_chunk(&chunk)
-                .map_err(|why| serde::Error::new(format!("event stream chunk {i}: {why}")))?;
-            chunks.push(Arc::from(&*chunk));
-        }
-        if counted != events {
-            return Err(serde::Error::new(format!(
-                "event stream chunks hold {counted} events, header says {events}"
-            )));
+        for _ in 0..n {
+            chunks.push(d.read_shared_bytes()?);
         }
         Ok(EventStream { chunks, events })
     }
@@ -852,6 +893,71 @@ mod tests {
     use super::*;
     use crate::probe::NullProbe;
     use crate::{ProbeEvent, RecordingProbe};
+    use proptest::prelude::*;
+
+    /// [`VARINTS_AFTER`] entry of a byte that starts no event.
+    const BAD_OPCODE: u8 = u8::MAX;
+
+    /// Number of trailing varints each opcode byte announces, or
+    /// [`BAD_OPCODE`] for a byte that starts no event: opcode 7, or a
+    /// `set_kernel` index past [`Kernel::ALL`].
+    const VARINTS_AFTER: [u8; 256] = {
+        let mut table = [0u8; 256];
+        let mut b = 0;
+        while b < 256 {
+            let arg = (b >> 3) as u64;
+            let escaped = arg == COMPUTE_ESCAPE;
+            table[b] = match (b & 0x7) as u8 {
+                OP_SET_KERNEL if (arg as usize) < Kernel::ALL.len() => 0,
+                OP_ALU | OP_AVX | OP_SSE => escaped as u8,
+                OP_LOAD | OP_STORE => 1 + (arg == 0) as u8,
+                OP_BRANCH => 1,
+                _ => BAD_OPCODE,
+            };
+            b += 1;
+        }
+        table
+    };
+
+    /// The test oracle for [`decode_chunk`]'s checks, written apart from
+    /// it: checks that `bytes` is a well-formed packed chunk — every opcode
+    /// names an event, every `set_kernel` index is in [`Kernel::ALL`], every
+    /// varint ends within ten bytes and inside the chunk — and returns its
+    /// event count.
+    ///
+    /// One flat pass over the bytes: an opcode byte says how many varint
+    /// terminators (bytes with the high bit clear) its event still owes.
+    fn validate_chunk(bytes: &[u8]) -> Result<u64, &'static str> {
+        let mut events = 0u64;
+        let mut owed = 0u8;
+        let mut continued = 0usize;
+        for &b in bytes {
+            if owed == 0 {
+                owed = VARINTS_AFTER[usize::from(b)];
+                if owed == BAD_OPCODE {
+                    return Err(if b & 0x7 == OP_SET_KERNEL {
+                        "set_kernel index past the kernel table"
+                    } else {
+                        "opcode 7 starts no event"
+                    });
+                }
+                events += 1;
+            } else if b & 0x80 != 0 {
+                continued += 1;
+                if continued == MAX_VARINT_BYTES as usize {
+                    return Err("varint longer than ten bytes");
+                }
+            } else {
+                continued = 0;
+                owed -= 1;
+            }
+        }
+        if owed == 0 {
+            Ok(events)
+        } else {
+            Err("truncated varint")
+        }
+    }
 
     /// A deterministic pseudo-random event mix resembling an encode
     /// stream: kernel phases with redundant redeclarations, page-local
@@ -1015,11 +1121,11 @@ mod tests {
 
     /// A one-chunk stream holding exactly `chunk`, claiming `events`.
     fn stream_of(chunk: &[u8], events: u64) -> Vec<u8> {
-        serde::to_bytes(&EventStream { chunks: vec![Arc::from(chunk)], events })
+        serde::to_bytes(&EventStream { chunks: vec![SharedBytes::from(chunk.to_vec())], events })
     }
 
     #[test]
-    fn malformed_chunks_fail_to_load() {
+    fn malformed_chunks_fail_to_replay() {
         let branch = OP_BRANCH | 1 << 3;
         let cases: [(&[u8], &str); 5] = [
             (&[branch, 0x80], "truncated varint"),
@@ -1029,15 +1135,18 @@ mod tests {
             (&[branch, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0], "ten bytes"),
         ];
         for (chunk, why) in cases {
-            let err = serde::from_bytes::<EventStream>(&stream_of(chunk, 1)).unwrap_err();
+            // The framing is fine, so the stream loads; its replay fails.
+            let stream: EventStream = serde::from_bytes(&stream_of(chunk, 1)).unwrap();
+            let err = stream.try_replay(&mut CountingProbe::new()).unwrap_err();
             assert!(err.to_string().contains(why), "{chunk:?}: {err}");
+            assert!(matches!(err, StreamError::Malformed { chunk: 0, .. }), "{err}");
         }
         // Every kernel index in the table and a ten-byte varint are fine.
         let last_kernel = OP_SET_KERNEL | (Kernel::ALL.len() as u8 - 1) << 3;
         let longest = [branch, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
         for chunk in [&[last_kernel][..], &longest] {
             let stream: EventStream = serde::from_bytes(&stream_of(chunk, 1)).unwrap();
-            stream.replay(&mut CountingProbe::new());
+            stream.try_replay(&mut CountingProbe::new()).unwrap();
         }
     }
 
@@ -1046,7 +1155,8 @@ mod tests {
         let (stream, _) = capture(5_000, 1024);
         for events in [stream.events() - 1, stream.events() + 1] {
             let forged = EventStream { chunks: stream.chunks.clone(), events };
-            let err = serde::from_bytes::<EventStream>(&serde::to_bytes(&forged)).unwrap_err();
+            let loaded: EventStream = serde::from_bytes(&serde::to_bytes(&forged)).unwrap();
+            let err = loaded.try_replay(&mut NullProbe).unwrap_err();
             assert!(err.to_string().contains("header says"), "{err}");
         }
     }
@@ -1067,7 +1177,56 @@ mod tests {
         let chunk = &stream.chunks()[0];
         for cut in 0..chunk.len() {
             let bytes = stream_of(&chunk[..cut], stream.events());
-            assert!(serde::from_bytes::<EventStream>(&bytes).is_err(), "cut at {cut} loaded");
+            let cut_stream: EventStream = serde::from_bytes(&bytes).unwrap();
+            assert!(cut_stream.try_replay(&mut NullProbe).is_err(), "cut at {cut} replayed");
+        }
+    }
+
+    #[test]
+    fn loaded_chunks_share_the_input_buffer() {
+        let (stream, _) = capture(25_000, 2048);
+        let wire = Arc::new(serde::to_bytes(&stream));
+        let loaded: EventStream =
+            serde::Deserialize::deserialize(&mut serde::Deserializer::shared(&wire)).unwrap();
+        assert_eq!(loaded, stream);
+        assert!(loaded.chunks().len() > 1);
+        assert!(loaded.chunks().iter().all(|c| Arc::ptr_eq(c.buffer(), &wire)));
+    }
+
+    /// A chunk recorded from [`drive`], for mutation.
+    fn recorded_chunk() -> SharedBytes {
+        capture(400, 1 << 20).0.chunks()[0].clone()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The decode checks exactly what the oracle checks: it never
+        /// panics, fails exactly when the oracle rejects (for the same
+        /// reason), and otherwise counts the oracle's events.
+        #[test]
+        fn decode_agrees_with_the_oracle_on_random_chunks(
+            bytes in prop::collection::vec(any::<u8>(), 0..48),
+        ) {
+            let decoded = decode_chunk(&bytes, &mut CountingProbe::new());
+            let oracle = validate_chunk(&bytes);
+            prop_assert_eq!(decoded.map_err(|e| e.to_string()), oracle.map_err(str::to_owned));
+        }
+
+        #[test]
+        fn decode_agrees_with_the_oracle_on_mutated_chunks(
+            flips in prop::collection::vec((0usize..4096, any::<u8>()), 0..4),
+            cut in 0usize..8192,
+        ) {
+            let mut bytes = recorded_chunk().to_vec();
+            for (at, bits) in flips {
+                let at = at % bytes.len();
+                bytes[at] ^= bits;
+            }
+            bytes.truncate(cut);
+            let decoded = decode_chunk(&bytes, &mut CountingProbe::new());
+            let oracle = validate_chunk(&bytes);
+            prop_assert_eq!(decoded.map_err(|e| e.to_string()), oracle.map_err(str::to_owned));
         }
     }
 
@@ -1102,7 +1261,7 @@ mod tests {
             let mut seen = Vec::new();
             let mut replayed = CountingProbe::new();
             while let Some(chunk) = rx.recv() {
-                decode_chunk(&chunk, &mut replayed);
+                decode_chunk(&chunk, &mut replayed).unwrap();
                 seen.push(chunk);
             }
             (seen, replayed)

@@ -7,7 +7,7 @@
 
 use crate::error::VideoError;
 use crate::frame::{Clip, Frame};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Writes `clip` as a Y4M stream.
 ///
@@ -33,10 +33,16 @@ pub fn write_y4m<W: Write>(clip: &Clip, mut out: W) -> std::io::Result<()> {
 
 /// Reads a Y4M stream into a [`Clip`].
 ///
+/// Memory follows the input, not the header: a frame's samples are read
+/// before its planes are allocated, so a header claiming a huge geometry
+/// fails at its first short frame instead of allocating for it.
+///
 /// # Errors
 ///
 /// Returns [`VideoError::GeometryMismatch`] for malformed headers,
-/// unsupported chroma subsampling, or truncated frame data.
+/// unsupported chroma subsampling, or truncated frame data, and
+/// [`VideoError::InvalidDimensions`] for a geometry whose frame size
+/// overflows.
 pub fn read_y4m<R: BufRead>(mut input: R, name: &str) -> Result<Clip, VideoError> {
     let mut header = String::new();
     input
@@ -79,10 +85,13 @@ pub fn read_y4m<R: BufRead>(mut input: R, name: &str) -> Result<Clip, VideoError
         });
     }
 
-    let mut frames = Vec::new();
-    let y_len = width * height;
+    let y_len = width.checked_mul(height).filter(|n| n.checked_mul(2).is_some()).ok_or(
+        VideoError::InvalidDimensions { width, height, reason: "y4m frame size overflows" },
+    )?;
     let c_len = (width / 2) * (height / 2);
-    let mut buf = vec![0u8; y_len.max(c_len)];
+    let frame_len = y_len + 2 * c_len;
+    let mut frames = Vec::new();
+    let mut buf = Vec::new();
     loop {
         let mut marker = String::new();
         let n = input
@@ -94,11 +103,22 @@ pub fn read_y4m<R: BufRead>(mut input: R, name: &str) -> Result<Clip, VideoError
         if !marker.trim_end().starts_with("FRAME") {
             return Err(VideoError::GeometryMismatch { what: "y4m frame marker and input" });
         }
+        // `take` + `read_to_end` grows `buf` with the bytes that arrive,
+        // never to the size the header claims.
+        buf.clear();
+        input
+            .by_ref()
+            .take(frame_len as u64)
+            .read_to_end(&mut buf)
+            .map_err(|_| VideoError::GeometryMismatch { what: "y4m frame data and reader" })?;
+        if buf.len() < frame_len {
+            return Err(VideoError::GeometryMismatch { what: "y4m frame data and size" });
+        }
         let mut frame = Frame::new(width, height)?;
+        let mut rest = buf.as_slice();
         for (plane_idx, len) in [(0usize, y_len), (1, c_len), (2, c_len)] {
-            let dst = &mut buf[..len];
-            std::io::Read::read_exact(&mut input, dst)
-                .map_err(|_| VideoError::GeometryMismatch { what: "y4m frame data and size" })?;
+            let (dst, tail) = rest.split_at(len);
+            rest = tail;
             let plane = match plane_idx {
                 0 => frame.luma_mut(),
                 1 => frame.cb_mut(),
@@ -156,6 +176,23 @@ mod tests {
         write_y4m(&clip, &mut bytes).unwrap();
         bytes.truncate(bytes.len() - 7);
         assert!(read_y4m(std::io::Cursor::new(&bytes), "cat").is_err());
+    }
+
+    #[test]
+    fn huge_header_geometry_is_an_error_not_an_allocation() {
+        // 42 bytes claiming 10^12-sample frames: the reader must fail on
+        // the missing frame data instead of sizing a buffer for it.
+        let header = b"YUV4MPEG2 W1000000 H1000000 F30:1 C420jpeg";
+        assert_eq!(header.len(), 42);
+        let with_frame = [&header[..], b"\nFRAME\n\x80\x80"].concat();
+        for input in [&header[..], &with_frame] {
+            assert!(read_y4m(std::io::Cursor::new(input), "x").is_err());
+        }
+        let overflow = format!("YUV4MPEG2 W{0} H{0} C420jpeg\nFRAME\n", usize::MAX - 1);
+        assert!(matches!(
+            read_y4m(std::io::Cursor::new(overflow), "x"),
+            Err(VideoError::InvalidDimensions { .. })
+        ));
     }
 
     #[test]

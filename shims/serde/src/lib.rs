@@ -48,12 +48,18 @@
 //! binary form: the payload is the `len` bytes themselves, and
 //! [`Deserializer::read_bytes`] borrows them from the input without a
 //! copy. Every other token is spelled identically in both forms.
+//!
+//! A [`SharedBytes`] value read from a [`Deserializer::shared`] input
+//! goes one step further: it is a range of the input's own buffer, so a
+//! value can keep its byte strings after the deserializer is gone
+//! without copying them out.
 
 pub use serde_derive::{Deserialize, Serialize};
 
 use std::borrow::Cow;
 use std::fmt;
-use std::sync::Mutex;
+use std::ops::{Deref, Range};
+use std::sync::{Arc, Mutex};
 
 /// Error produced by deserialization (serialization is infallible).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -268,17 +274,26 @@ pub struct Deserializer<'de> {
     pos: usize,
     /// Whether `x` tokens carry raw bytes (binary form) or hex (text).
     binary: bool,
+    /// The buffer `input` is, when [`SharedBytes`] may share it.
+    owner: Option<&'de Arc<Vec<u8>>>,
 }
 
 impl<'de> Deserializer<'de> {
     /// A deserializer at the start of text-form `input`.
     pub fn new(input: &'de [u8]) -> Self {
-        Deserializer { input, pos: 0, binary: false }
+        Deserializer { input, pos: 0, binary: false, owner: None }
     }
 
     /// A deserializer at the start of binary-form `input`.
     pub fn binary(input: &'de [u8]) -> Self {
-        Deserializer { input, pos: 0, binary: true }
+        Deserializer { input, pos: 0, binary: true, owner: None }
+    }
+
+    /// A deserializer at the start of the binary-form buffer `input`,
+    /// whose byte strings [`Deserializer::read_shared_bytes`] hands out
+    /// as ranges of `input` itself.
+    pub fn shared(input: &'de Arc<Vec<u8>>) -> Self {
+        Deserializer { input, pos: 0, binary: true, owner: Some(input) }
     }
 
     /// Parses one `T` and checks that nothing but whitespace follows.
@@ -449,6 +464,23 @@ impl<'de> Deserializer<'de> {
         Ok(Cow::Owned(hex_decode(self.take_payload(hex_len)?)?))
     }
 
+    /// Reads a byte-string token as [`SharedBytes`]: a range of the
+    /// input buffer when the deserializer is [`Deserializer::shared`],
+    /// otherwise a copy in a buffer of its own.
+    ///
+    /// # Errors
+    ///
+    /// As [`Deserializer::read_bytes`].
+    pub fn read_shared_bytes(&mut self) -> Result<SharedBytes, Error> {
+        let Some(buf) = self.owner else {
+            return Ok(self.read_bytes()?.into_owned().into());
+        };
+        let len: usize = self.parse_kind(b'x', "byte-string length")?;
+        let start = self.pos;
+        self.take_payload(len)?;
+        Ok(SharedBytes { buf: Arc::clone(buf), range: start..start + len })
+    }
+
     /// Reads a tag token (struct name / enum variant).
     ///
     /// # Errors
@@ -480,6 +512,58 @@ impl<'de> Deserializer<'de> {
     /// Returns [`Error`] if the next token is not a sequence header.
     pub fn read_seq_len(&mut self) -> Result<usize, Error> {
         self.parse_kind(b'q', "sequence length")
+    }
+}
+
+/// An immutable byte string that shares its buffer: an `Arc` over a
+/// byte buffer plus the range of it this value covers.
+///
+/// Clones share the buffer, and equality compares bytes, never buffers.
+/// A value read from a [`Deserializer::shared`] input is a range of
+/// that input's buffer; one made from a `Vec<u8>` owns the whole `Vec`,
+/// without copying it.
+#[derive(Clone)]
+pub struct SharedBytes {
+    buf: Arc<Vec<u8>>,
+    range: Range<usize>,
+}
+
+impl SharedBytes {
+    /// The buffer these bytes are a range of.
+    pub fn buffer(&self) -> &Arc<Vec<u8>> {
+        &self.buf
+    }
+}
+
+impl From<Vec<u8>> for SharedBytes {
+    fn from(bytes: Vec<u8>) -> Self {
+        let range = 0..bytes.len();
+        SharedBytes { buf: Arc::new(bytes), range }
+    }
+}
+
+impl Deref for SharedBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.range.clone()]
+    }
+}
+
+impl PartialEq for SharedBytes {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for SharedBytes {}
+
+impl fmt::Debug for SharedBytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SharedBytes")
+            .field("len", &self.len())
+            .field("buffer_len", &self.buf.len())
+            .finish()
     }
 }
 
@@ -831,6 +915,28 @@ mod tests {
         let mut d = Deserializer::binary(&wire);
         assert!(matches!(d.read_bytes().unwrap(), Cow::Borrowed([1, 2, 3])));
         assert!(d.end().is_ok());
+    }
+
+    #[test]
+    fn shared_byte_strings_are_ranges_of_the_input() {
+        let wire = Arc::new(to_bytes(&(Blob(vec![1, 2, 3]), 7u64, Blob(vec![4; 9]))));
+        let mut d = Deserializer::shared(&wire);
+        let a = d.read_shared_bytes().unwrap();
+        assert_eq!(u64::deserialize(&mut d).unwrap(), 7);
+        let b = d.read_shared_bytes().unwrap();
+        assert!(d.end().is_ok());
+        assert_eq!((&a[..], &b[..]), (&[1, 2, 3][..], &[4; 9][..]));
+        for bytes in [&a, &b] {
+            assert!(Arc::ptr_eq(bytes.buffer(), &wire));
+        }
+        // Any other input copies; equality is by bytes either way.
+        let copied = Deserializer::binary(&wire).read_shared_bytes().unwrap();
+        assert!(!Arc::ptr_eq(copied.buffer(), &wire));
+        assert_eq!(copied, a);
+        let text = to_string(&Blob(a.to_vec()));
+        assert_eq!(Deserializer::new(text.as_bytes()).read_shared_bytes().unwrap(), a);
+        assert_ne!(a, b);
+        assert!(Deserializer::shared(&Arc::new(b"x9:abc ".to_vec())).read_shared_bytes().is_err());
     }
 
     #[test]

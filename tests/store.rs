@@ -9,8 +9,8 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use vstress::codecs::{CodecId, EncoderParams};
-use vstress::exec::store::checksum64;
-use vstress::workbench::RunSpec;
+use vstress::exec::store::{checksum64, KIND_STREAM};
+use vstress::workbench::{CapturedEncode, RunSpec};
 use vstress::{RunCache, RunStore};
 
 fn tmp_root(name: &str) -> PathBuf {
@@ -260,5 +260,121 @@ fn corrupt_stream_entries_are_quarantined_and_recaptured() {
         assert!(PathBuf::from(quarantined).exists(), "{what}: the evidence stays inspectable");
     }
 
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The single `stream` entry under `root`.
+fn stream_entry(root: &Path) -> PathBuf {
+    let store = RunStore::open(root).unwrap();
+    let entries: Vec<PathBuf> = std::fs::read_dir(store.dir().join("stream"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "entry"))
+        .collect();
+    assert_eq!(entries.len(), 1);
+    entries[0].clone()
+}
+
+/// In a stored capture's payload, the offset of the last stream chunk's
+/// first byte, and the number of chunks.
+fn last_chunk(payload: &[u8]) -> (usize, usize) {
+    let mut d = serde::Deserializer::binary(payload);
+    d.read_str().unwrap(); // clip name
+    d.read_u64().unwrap(); // stream format version
+    d.read_u64().unwrap(); // event count
+    let chunks = d.read_seq_len().unwrap();
+    let mut start = 0;
+    for _ in 0..chunks {
+        start = d.read_bytes().unwrap().as_ptr() as usize - payload.as_ptr() as usize;
+    }
+    (start, chunks)
+}
+
+/// Writes opcode 7 over the first byte of the last chunk of the stream
+/// entry at `path`, under a valid checksum: the entry loads, and only
+/// the decode of the stream's last chunk can tell.
+fn break_last_chunk(path: &Path) {
+    reseal(path, |payload| {
+        let (start, chunks) = last_chunk(payload);
+        assert!(chunks >= 2, "{chunks} chunks: the last one must not be the first");
+        payload[start] = 0x07;
+    });
+}
+
+#[test]
+fn stored_stream_chunks_share_the_entry_buffer() {
+    let root = tmp_root("one-buffer");
+    fresh_cache(&root).run(&spec()).unwrap();
+    let path = stream_entry(&root);
+    let data = std::fs::read(&path).unwrap();
+    let header: EntryHeader =
+        serde::Deserialize::deserialize(&mut serde::Deserializer::binary(&data)).unwrap();
+
+    let store = RunStore::open(&root).unwrap();
+    let cap: CapturedEncode = store.get(KIND_STREAM, &header.key).unwrap();
+    let chunks = cap.stream.chunks();
+    assert!(chunks.len() > 1, "{} chunks", chunks.len());
+    // Every chunk lies inside the one buffer the entry file was read into.
+    let buffer = chunks[0].buffer();
+    assert_eq!(buffer.len(), data.len(), "the buffer is the whole entry file");
+    let span = buffer.as_ptr_range();
+    for (i, chunk) in chunks.iter().enumerate() {
+        assert!(Arc::ptr_eq(chunk.buffer(), buffer), "chunk {i} has a buffer of its own");
+        let bytes = chunk.as_ptr_range();
+        assert!(span.start <= bytes.start && bytes.end <= span.end, "chunk {i} is outside it");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn bad_opcode_in_the_last_chunk_is_quarantined_and_recaptured() {
+    let root = tmp_root("last-chunk-run");
+    let first = fresh_cache(&root);
+    let computed = first.run(&spec()).unwrap();
+    drop(first);
+    let path = stream_entry(&root);
+    let pristine = std::fs::read(&path).unwrap();
+    let _ = std::fs::remove_dir_all(RunStore::open(&root).unwrap().dir().join("run"));
+    break_last_chunk(&path);
+
+    // The stream loads; its replay fails at the last chunk, so the run
+    // recaptures, exactly as for an entry quarantined at load.
+    let cache = fresh_cache(&root);
+    let run = cache.run(&spec()).unwrap();
+    assert_eq!(*run, *computed, "the recapture must reproduce the run");
+    let s = cache.stats();
+    assert_eq!(s.store_quarantined, 1);
+    assert_eq!((s.store_hits, s.store_misses), (0, 2), "the stream lookup is not a hit");
+    assert_eq!((s.encodes, s.stream_captures), (1, 1), "the stream is recaptured once");
+    drop(cache);
+    assert_eq!(std::fs::read(&path).unwrap(), pristine, "the recapture is re-stored");
+    let mut quarantined = path.into_os_string();
+    quarantined.push(".quarantined");
+    assert!(PathBuf::from(quarantined).exists(), "the evidence stays inspectable");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn branch_window_over_a_bad_last_chunk_is_quarantined_and_recaptured() {
+    let root = tmp_root("last-chunk-window");
+    let first = fresh_cache(&root);
+    let computed = first.branch_window(&spec(), 10_000).unwrap();
+    drop(first);
+    let path = stream_entry(&root);
+    let pristine = std::fs::read(&path).unwrap();
+    let _ = std::fs::remove_dir_all(RunStore::open(&root).unwrap().dir().join("window"));
+    break_last_chunk(&path);
+
+    // The window lies well before the last chunk, but the first replay of
+    // a stored stream decodes all of it.
+    let cache = fresh_cache(&root);
+    let window = cache.branch_window(&spec(), 10_000).unwrap();
+    assert_eq!(*window, *computed, "the recapture must reproduce the window");
+    let s = cache.stats();
+    assert_eq!(s.store_quarantined, 1);
+    assert_eq!((s.store_hits, s.store_misses), (0, 2), "the stream lookup is not a hit");
+    assert_eq!((s.encodes, s.stream_captures), (1, 1), "the stream is recaptured once");
+    drop(cache);
+    assert_eq!(std::fs::read(&path).unwrap(), pristine, "the recapture is re-stored");
     let _ = std::fs::remove_dir_all(&root);
 }
