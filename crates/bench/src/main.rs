@@ -407,11 +407,12 @@ fn run_suite(suite: &mut Suite) -> Option<u64> {
 
     // ---- Simulation-side microbenchmarks.
 
-    // Cache hierarchy, streaming load/store sweep: sequential 8-byte
-    // accesses (eight per 64 B line, so the L1D MRU fast path carries
-    // seven of eight) over a region larger than L2, with the stride
-    // prefetcher on — the exact shape that made the old prefetch path
-    // allocate per demand miss.
+    // Cache hierarchy, streaming load sweep: sequential 8-byte loads
+    // (eight per 64 B line, so the hierarchy's same-line shortcut carries
+    // seven of eight) over 32 KiB, with the stride prefetcher on — the
+    // shape that made the old prefetch path allocate per demand miss.
+    // The first call misses all the way to memory; every later one hits
+    // L1D, so this times the same-line path, not the set scan.
     let mut hier_cfg = HierarchyConfig::broadwell();
     hier_cfg.l2_prefetch = PrefetchKind::Stride;
     let addrs: Vec<u64> = (0..4096u64).map(|i| (i * 8) % (512 << 10)).collect();
@@ -419,6 +420,26 @@ fn run_suite(suite: &mut Suite) -> Option<u64> {
     suite.time_it("sim_hier_load_stream_4k", 0, || {
         for &a in &addrs {
             black_box(live_hier.load(black_box(a), 8));
+        }
+    });
+    // Cache hierarchy, L1D hits that move across sets: 4096 loads drawn
+    // by xorshift from 512 lines, exactly the 32 KiB L1D (all eight ways
+    // of every set), so almost no load repeats the last line and the way
+    // that hits is unpredictable. After the first call every load is an
+    // L1D hit found by the set scan.
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let scatter: Vec<u64> = (0..4096)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            0x10_0000 + (x % 512) * 64
+        })
+        .collect();
+    let mut scatter_hier = Hierarchy::new(hier_cfg);
+    suite.time_it("sim_hier_load_scatter_4k", 0, || {
+        for &a in &scatter {
+            black_box(scatter_hier.load(black_box(a), 8));
         }
     });
     // Core-model event drain: an encoder-shaped event mix with raw

@@ -56,21 +56,13 @@ pub struct LookupResult {
     pub writeback: Option<u64>,
 }
 
-/// One way of one set: the resident tag plus its packed state, kept
-/// adjacent so a lookup touches one cache line instead of three arrays.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    /// Full line address of the resident line (meaningless while invalid).
-    tag: u64,
-    /// Bit 0 = valid, bit 1 = dirty, bits 2.. = the LRU timestamp
-    /// (maintained only under [`ReplacementPolicy::Lru`]).
-    meta: u64,
-}
-
-const VALID: u64 = 1;
-const DIRTY: u64 = 2;
-/// Shift that positions the LRU stamp above the valid/dirty bits.
-const STAMP_SHIFT: u32 = 2;
+/// Tag of an empty way. A line address is a byte address shifted right
+/// by at least one bit (see [`CacheConfig::validate`]), so no line can
+/// equal it.
+const EMPTY: u64 = u64::MAX;
+const DIRTY: u64 = 1;
+/// Shift that positions the LRU stamp above the dirty bit.
+const STAMP_SHIFT: u32 = 1;
 
 /// A set-associative cache over line addresses.
 ///
@@ -87,12 +79,18 @@ const STAMP_SHIFT: u32 = 2;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
-    /// `set_count * ways` slots, set-major (way 0..ways of set 0 first).
-    slots: Vec<Slot>,
+    /// `set_count * ways` resident line addresses, set-major (way 0..ways
+    /// of set 0 first); [`EMPTY`] marks a way that was never filled.
+    /// Kept apart from `meta` so one set's tags share a host cache line
+    /// and the lookup compares them all without touching the state.
+    tags: Vec<u64>,
+    /// Parallel to `tags`: bit 0 = dirty, bits 1.. = the LRU timestamp
+    /// (maintained only under [`ReplacementPolicy::Lru`]).
+    meta: Vec<u64>,
     /// Per-set replacement state for the non-LRU policies. Empty under
-    /// LRU, whose timestamps live directly in [`Slot::meta`].
+    /// LRU, whose timestamps live directly in `meta`.
     sets: Vec<SetState>,
-    /// Whether the stamp-in-slot LRU fast path is active.
+    /// Whether the stamp-in-meta LRU path is active.
     lru: bool,
     /// `set_count - 1`; set counts are validated powers of two, so masking
     /// is exactly the old `line % set_count`.
@@ -101,21 +99,11 @@ pub struct Cache {
     line_shift: u32,
     tick: u64,
     rng: u64,
-    /// Flat slot / set / way of the most recently hit or filled line.
-    /// `access_line` checks this slot before scanning the set: consecutive
-    /// touches of the same line (the dominant pattern in probe streams)
-    /// skip the way scan while performing the identical state updates.
+    /// Flat slot / set / way of the most recently hit or filled line, so
+    /// [`Cache::mru_hit`] updates it without a lookup or a division.
     mru_slot: usize,
     mru_set: usize,
     mru_way: usize,
-    /// Per-set most-recent way, a search accelerator for the scan path:
-    /// probe streams alternate between a few lines in *different* sets
-    /// (source vs. reference planes), which defeats the single MRU slot
-    /// while each set's hot way stays stable. A stale hint is harmless —
-    /// the tag comparison rejects it and the full scan runs; a matching
-    /// hint is the unique matching way, so taking it performs exactly
-    /// the updates the scan would have.
-    way_hints: Vec<u8>,
     stats: CacheStats,
 }
 
@@ -131,7 +119,8 @@ impl Cache {
         let ways = config.ways;
         let lru = config.policy == ReplacementPolicy::Lru;
         Cache {
-            slots: vec![Slot { tag: 0, meta: 0 }; set_count * ways],
+            tags: vec![EMPTY; set_count * ways],
+            meta: vec![0; set_count * ways],
             sets: if lru {
                 Vec::new()
             } else {
@@ -143,12 +132,9 @@ impl Cache {
             line_shift: config.line_bytes.trailing_zeros(),
             tick: 0,
             rng: 0x9e37_79b9_7f4a_7c15,
-            // Slot 0 starts invalid, so the MRU fast path cannot fire
-            // before the first fill.
             mru_slot: 0,
             mru_set: 0,
             mru_way: 0,
-            way_hints: vec![0; set_count],
             stats: CacheStats::default(),
         }
     }
@@ -179,15 +165,32 @@ impl Cache {
         (line & self.set_mask) as usize
     }
 
-    /// Records a touch of `slot` (= `set * ways + way`) at the current
-    /// tick: a stamp write for LRU, the policy state machine otherwise.
+    /// The way of the set at `base` that holds `line`, if any.
+    ///
+    /// Compares every way with no early exit, so the only branch the
+    /// caller sees is hit versus miss. Tags are unique within a set, so
+    /// at most one way contributes its `way + 1` to the OR.
     #[inline]
-    fn touch(&mut self, slot: usize, set: usize, way: usize) {
+    fn find(&self, base: usize, line: u64) -> Option<usize> {
+        let tags = &self.tags[base..base + self.ways];
+        let way_plus_one = tags
+            .iter()
+            .enumerate()
+            .fold(0, |acc, (way, &tag)| acc | (usize::from(tag == line) * (way + 1)));
+        way_plus_one.checked_sub(1)
+    }
+
+    /// Records a touch of `slot` (= `set * ways + way`) at the current
+    /// tick and ORs in `dirty`: one fused meta write for LRU, the policy
+    /// state machine otherwise.
+    #[inline]
+    fn touch(&mut self, slot: usize, set: usize, way: usize, dirty: u64) {
         if self.lru {
-            let m = &mut self.slots[slot].meta;
-            *m = (self.tick << STAMP_SHIFT) | (*m & (VALID | DIRTY));
+            let m = &mut self.meta[slot];
+            *m = (self.tick << STAMP_SHIFT) | (*m & DIRTY) | dirty;
         } else {
             self.sets[set].touch(way, self.ways, self.tick);
+            self.meta[slot] |= dirty;
         }
     }
 
@@ -196,91 +199,25 @@ impl Cache {
     /// Returns whether it hit and any dirty line evicted.
     #[inline]
     pub fn access_line(&mut self, line: u64, kind: AccessKind) -> LookupResult {
-        // MRU fast path. A valid slot whose tag matches can only belong to
-        // `line`'s own set (tags are full line addresses and lines install
-        // only in their home set), so this is a true hit; every state
-        // update matches the scan path below exactly.
-        let mru = self.slots[self.mru_slot];
-        if mru.meta & VALID != 0 && mru.tag == line {
-            self.tick += 1;
-            self.stats.accesses += 1;
-            self.stats.hits += 1;
-            self.touch(self.mru_slot, self.mru_set, self.mru_way);
-            if kind == AccessKind::Write {
-                self.slots[self.mru_slot].meta |= DIRTY;
-            }
-            return LookupResult { hit: true, writeback: None };
-        }
-        self.access_line_scan(line, kind)
-    }
-
-    /// [`Cache::access_line`] minus the MRU probe: the full set scan with
-    /// identical counting and state updates.
-    ///
-    /// The hierarchy calls this directly for L1D accesses that already
-    /// failed its own last-line check — the cache's MRU slot always holds
-    /// that same last line (every hit and every fill install the touched
-    /// line as MRU), so the probe above cannot match and re-running it
-    /// would be pure overhead. Calling this where the MRU probe *could*
-    /// match is still correct, just slower: a scan hit on the MRU way
-    /// performs the same updates and re-installs the same `mru_*` values.
-    #[inline]
-    pub(crate) fn access_line_scan(&mut self, line: u64, kind: AccessKind) -> LookupResult {
         self.tick += 1;
         self.stats.accesses += 1;
         let set = self.set_of(line);
         let base = set * self.ways;
-        if self.lru {
-            // LRU fast scan: probe the set's hinted way first, then
-            // iterate the set as a slice (one bounds check); either hit
-            // folds the stamp update and dirty bit into a single meta
-            // write — the value stored is exactly what `touch` followed
-            // by the `|= DIRTY` write would have produced.
-            let stamp = self.tick << STAMP_SHIFT;
-            let dirty = if kind == AccessKind::Write { DIRTY } else { 0 };
-            let hint = usize::from(self.way_hints[set]);
-            let hs = base + hint;
-            let hinted = self.slots[hs];
-            if hinted.meta & VALID != 0 && hinted.tag == line {
-                self.slots[hs].meta = stamp | (hinted.meta & (VALID | DIRTY)) | dirty;
+        let dirty = kind == AccessKind::Write;
+        match self.find(base, line) {
+            Some(way) => {
                 self.stats.hits += 1;
-                self.mru_slot = hs;
+                self.touch(base + way, set, way, u64::from(dirty));
+                self.mru_slot = base + way;
                 self.mru_set = set;
-                self.mru_way = hint;
-                return LookupResult { hit: true, writeback: None };
+                self.mru_way = way;
+                LookupResult { hit: true, writeback: None }
             }
-            for (way, slot) in self.slots[base..base + self.ways].iter_mut().enumerate() {
-                if slot.meta & VALID != 0 && slot.tag == line {
-                    slot.meta = stamp | (slot.meta & (VALID | DIRTY)) | dirty;
-                    self.stats.hits += 1;
-                    self.mru_slot = base + way;
-                    self.mru_set = set;
-                    self.mru_way = way;
-                    self.way_hints[set] = way as u8;
-                    return LookupResult { hit: true, writeback: None };
-                }
-            }
-        } else {
-            for way in 0..self.ways {
-                let s = base + way;
-                let slot = self.slots[s];
-                if slot.meta & VALID != 0 && slot.tag == line {
-                    self.stats.hits += 1;
-                    self.touch(s, set, way);
-                    if kind == AccessKind::Write {
-                        self.slots[s].meta |= DIRTY;
-                    }
-                    self.mru_slot = s;
-                    self.mru_set = set;
-                    self.mru_way = way;
-                    self.way_hints[set] = way as u8;
-                    return LookupResult { hit: true, writeback: None };
-                }
+            None => {
+                self.stats.misses += 1;
+                LookupResult { hit: false, writeback: self.fill_internal(set, line, dirty) }
             }
         }
-        self.stats.misses += 1;
-        let writeback = self.fill_internal(line, kind == AccessKind::Write);
-        LookupResult { hit: false, writeback }
     }
 
     /// The state updates of a hit on the MRU line, skipping the lookup.
@@ -292,100 +229,63 @@ impl Cache {
     #[inline]
     pub(crate) fn mru_hit(&mut self, line: u64, kind: AccessKind) {
         debug_assert!(
-            self.slots[self.mru_slot].meta & VALID != 0 && self.slots[self.mru_slot].tag == line,
+            self.tags[self.mru_slot] == line,
             "mru_hit caller invariant broken for line {line:#x}"
         );
         self.tick += 1;
         self.stats.accesses += 1;
         self.stats.hits += 1;
-        if self.lru {
-            // One fused meta write — `touch`'s stamp plus the dirty bit.
-            let m = &mut self.slots[self.mru_slot].meta;
-            *m = (self.tick << STAMP_SHIFT)
-                | (*m & (VALID | DIRTY))
-                | if kind == AccessKind::Write { DIRTY } else { 0 };
-        } else {
-            self.touch(self.mru_slot, self.mru_set, self.mru_way);
-            if kind == AccessKind::Write {
-                self.slots[self.mru_slot].meta |= DIRTY;
-            }
-        }
+        self.touch(self.mru_slot, self.mru_set, self.mru_way, u64::from(kind == AccessKind::Write));
     }
 
     /// Installs `line` without counting an access (prefetch / fill path).
     /// Returns a dirty evicted line, if any.
     pub fn fill_line(&mut self, line: u64, dirty: bool) -> Option<u64> {
         self.tick += 1;
-        // Already present? Nothing to do (common for overlapping prefetch).
         let set = self.set_of(line);
         let base = set * self.ways;
-        for way in 0..self.ways {
-            let slot = self.slots[base + way];
-            if slot.meta & VALID != 0 && slot.tag == line {
-                if dirty {
-                    self.slots[base + way].meta |= DIRTY;
-                }
-                return None;
-            }
+        // Already present? Nothing to do (common for overlapping prefetch).
+        if let Some(way) = self.find(base, line) {
+            self.meta[base + way] |= u64::from(dirty);
+            return None;
         }
         self.stats.prefetch_fills += 1;
-        self.fill_internal(line, dirty)
+        self.fill_internal(set, line, dirty)
     }
 
-    fn fill_internal(&mut self, line: u64, dirty: bool) -> Option<u64> {
-        let set = self.set_of(line);
+    fn fill_internal(&mut self, set: usize, line: u64, dirty: bool) -> Option<u64> {
         let base = set * self.ways;
-        // Prefer an invalid way.
-        let mut victim = None;
-        for way in 0..self.ways {
-            if self.slots[base + way].meta & VALID == 0 {
-                victim = Some(way);
-                break;
+        let way = if self.lru {
+            // Oldest stamp wins, first way on ties. An empty way's meta is
+            // 0 and every filled way's stamp is a tick >= 1, so this also
+            // picks the first empty way whenever there is one.
+            (0..self.ways).min_by_key(|&w| self.meta[base + w] >> STAMP_SHIFT).unwrap_or(0)
+        } else {
+            match self.tags[base..base + self.ways].iter().position(|&tag| tag == EMPTY) {
+                Some(w) => w,
+                None => self.sets[set].victim(self.ways, &mut self.rng),
             }
-        }
-        let way = match victim {
-            Some(w) => w,
-            // Oldest stamp wins, first way on ties — the same strictly-less
-            // scan the per-set stamp vector used to perform.
-            None if self.lru => {
-                let mut best = 0;
-                let mut best_stamp = self.slots[base].meta >> STAMP_SHIFT;
-                for w in 1..self.ways {
-                    let stamp = self.slots[base + w].meta >> STAMP_SHIFT;
-                    if stamp < best_stamp {
-                        best = w;
-                        best_stamp = stamp;
-                    }
-                }
-                best
-            }
-            None => self.sets[set].victim(self.ways, &mut self.rng),
         };
         let s = base + way;
-        let old = self.slots[s];
-        let evicted = if old.meta & (VALID | DIRTY) == (VALID | DIRTY) {
+        // Ways are never emptied once filled, so an empty way is clean.
+        let evicted = if self.meta[s] & DIRTY != 0 {
             self.stats.writebacks += 1;
-            Some(old.tag)
+            Some(self.tags[s])
         } else {
             None
         };
-        self.slots[s] = Slot { tag: line, meta: VALID | if dirty { DIRTY } else { 0 } };
-        self.touch(s, set, way);
+        self.tags[s] = line;
+        self.meta[s] = u64::from(dirty);
+        self.touch(s, set, way, 0);
         self.mru_slot = s;
         self.mru_set = set;
         self.mru_way = way;
-        self.way_hints[set] = way as u8;
         evicted
     }
 
     /// Whether `line` is currently resident (no state change).
     pub fn contains_line(&self, line: u64) -> bool {
-        let set = self.set_of(line);
-        let base = set * self.ways;
-        (0..self.ways).any(|w| {
-            let slot = self.slots[base + w];
-            slot.meta & VALID != 0 && slot.tag == line
-        })
+        self.find(self.set_of(line) * self.ways, line).is_some()
     }
 }
 
@@ -497,7 +397,7 @@ mod tests {
     #[test]
     fn slot_layout_matches_reference_lru_semantics() {
         // A longer adversarial trace against an 8-way LRU set: the packed
-        // stamp-in-slot scan must evict in exactly the order a per-way
+        // stamp-in-meta victim scan must evict in exactly the order a per-way
         // timestamp vector would.
         let mut c = Cache::new(CacheConfig::lru(8 * 64, 8, 64)); // 1 set, 8 ways
         let mut resident: Vec<u64> = Vec::new(); // LRU order, oldest first

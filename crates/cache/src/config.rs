@@ -25,7 +25,7 @@ pub struct CacheConfig {
     pub size_bytes: usize,
     /// Associativity.
     pub ways: usize,
-    /// Line size in bytes (power of two).
+    /// Line size in bytes (a power of two, at least 2).
     pub line_bytes: usize,
     /// Replacement policy.
     pub policy: ReplacementPolicy,
@@ -51,11 +51,14 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any field is zero, the line size is not a power of two, or
-    /// capacity is not an integer power-of-two number of sets.
+    /// Panics if any field is zero, the line size is not a power of two of
+    /// at least 2 bytes, or capacity is not an integer power-of-two number
+    /// of sets. A line address is then at most `u64::MAX >> 1`, which
+    /// leaves `u64::MAX` free to mark an empty way.
     pub fn validate(&self) {
         assert!(self.size_bytes > 0 && self.ways > 0 && self.line_bytes > 0);
         assert!(self.line_bytes.is_power_of_two(), "line size must be a power of two");
+        assert!(self.line_bytes >= 2, "line size must be at least 2 bytes");
         assert_eq!(
             self.size_bytes % (self.ways * self.line_bytes),
             0,
@@ -176,6 +179,12 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn bad_line_size_panics() {
         CacheConfig::lru(32 << 10, 8, 48).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 2 bytes")]
+    fn one_byte_lines_panic() {
+        CacheConfig::lru(64, 8, 1).validate();
     }
 
     #[test]

@@ -127,7 +127,7 @@ impl Hierarchy {
             return ServiceLevel::L1;
         }
         // Instruction lines are never dirty in L1I.
-        self.refill_from_l2(line, AccessKind::Read)
+        self.refill_from_l2(line)
     }
 
     /// Load-to-use latency in cycles for a given service level.
@@ -188,10 +188,7 @@ impl Hierarchy {
             return ServiceLevel::L1;
         }
         self.l1d_mru_line = line;
-        // The L1D's MRU slot holds the line we just compared against
-        // (`l1d_mru_line` tracks exactly the cache's MRU installs), so
-        // skip straight to the set scan.
-        let l1 = self.l1d.access_line_scan(line, kind);
+        let l1 = self.l1d.access_line(line, kind);
         if l1.hit {
             return ServiceLevel::L1;
         }
@@ -204,17 +201,16 @@ impl Hierarchy {
                 }
             }
         }
-        self.refill_from_l2(line, kind)
+        self.refill_from_l2(line)
     }
 
     /// Handles an L1 miss for `line`: looks it up in L2, then LLC, then
     /// memory, propagating any dirty victims downward. Returns the level
     /// that supplied the data.
-    fn refill_from_l2(&mut self, line: u64, _kind: AccessKind) -> ServiceLevel {
+    fn refill_from_l2(&mut self, line: u64) -> ServiceLevel {
         let l2_result = self.l2.access_line(line, AccessKind::Read);
         if let Some(victim) = l2_result.writeback {
-            if let Some(llc_victim) = self.llc.fill_line(victim, true) {
-                let _ = llc_victim;
+            if self.llc.fill_line(victim, true).is_some() {
                 self.memory_writebacks += 1;
             }
         }
@@ -222,8 +218,7 @@ impl Hierarchy {
             return ServiceLevel::L2;
         }
         let llc_result = self.llc.access_line(line, AccessKind::Read);
-        if let Some(victim) = llc_result.writeback {
-            let _ = victim;
+        if llc_result.writeback.is_some() {
             self.memory_writebacks += 1;
         }
         let suggestions = self.prefetch_suggestions(line);

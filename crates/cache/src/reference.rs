@@ -1,8 +1,9 @@
 //! The pre-rewrite cache hierarchy, kept verbatim as an equivalence
 //! oracle (compiled for tests only).
 //!
-//! The live [`crate::Hierarchy`] carries fast paths (MRU same-line hits,
-//! mask-based set indexing, allocation-free prefetch suggestions). The
+//! The live [`crate::Hierarchy`] carries fast paths (same-line L1D hits,
+//! a branch-free set scan over a tag-only array, mask-based set indexing,
+//! allocation-free prefetch suggestions). The
 //! correctness bar for every one of them is *exact* behavioural
 //! equivalence: identical [`ServiceLevel`] per access and identical
 //! [`HierarchyStats`] at every point in the stream, because the simulated
@@ -376,7 +377,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn small() -> ReferenceHierarchy {
-        ReferenceHierarchy::new(small_config(ReplacementPolicy::Lru, PrefetchKind::None))
+        ReferenceHierarchy::new(small_config(ReplacementPolicy::Lru, PrefetchKind::None, 4))
     }
 
     #[test]
@@ -392,27 +393,51 @@ mod tests {
     }
 
     // Equivalence proof for the optimized cache hierarchy: the fast paths
-    // (Cache-level MRU slot, the hierarchy's same-L1D-line shortcut, mask
-    // set indexing, shift-based line splitting, inline prefetch suggestion
-    // buffers) are only admissible if every access produces the identical
+    // (the hierarchy's same-L1D-line shortcut into `Cache::mru_hit`, the
+    // branch-free scan of a set's tags with `u64::MAX` marking an empty
+    // way, LRU stamps kept beside the dirty bit, mask set indexing,
+    // shift-based line splitting, inline prefetch suggestion buffers) are
+    // only admissible if every access produces the identical
     // `ServiceLevel` and leaves the identical `HierarchyStats` as the
     // reference above. The property tests drive both implementations over
     // random access streams — line-straddling accesses, dirty writebacks,
     // instruction fetches interleaved with data traffic, repeated
     // same-line touches (the MRU path), every replacement policy and every
-    // prefetcher — and assert equality after *every* operation, so a
-    // divergence is caught at the first op that drifts, not in an
+    // prefetcher, at 1, 2, 3, 8 and 16 ways (the model runs 8-way L1/L2
+    // and a 16-way LLC) — and assert equality after *every* operation, so
+    // a divergence is caught at the first op that drifts, not in an
     // end-of-stream aggregate.
 
-    /// Tiny hierarchy so short random streams exercise evictions and
-    /// writebacks at every level.
-    fn small_config(policy: ReplacementPolicy, prefetch: PrefetchKind) -> HierarchyConfig {
-        let mk = |size| CacheConfig { size_bytes: size, ways: 4, line_bytes: 64, policy };
+    /// Every policy at every associativity the oracle covers
+    /// (direct-mapped, a non-power of two, and the shapes the core model
+    /// runs), minus tree PLRU at non-power-of-two ways, which it rejects.
+    fn shapes() -> Vec<(ReplacementPolicy, usize)> {
+        let ways: [usize; 5] = [1, 2, 3, 8, 16];
+        ReplacementPolicy::ALL
+            .iter()
+            .flat_map(|&p| ways.iter().map(move |&w| (p, w)))
+            .filter(|&(p, w)| p != ReplacementPolicy::TreePlru || w.is_power_of_two())
+            .collect()
+    }
+
+    /// Tiny hierarchy (4 / 16 / 64 sets at `ways` ways each) so short
+    /// random streams exercise evictions and writebacks at every level.
+    fn small_config(
+        policy: ReplacementPolicy,
+        prefetch: PrefetchKind,
+        ways: usize,
+    ) -> HierarchyConfig {
+        let mk = |sets: usize| CacheConfig {
+            size_bytes: sets * ways * 64,
+            ways,
+            line_bytes: 64,
+            policy,
+        };
         HierarchyConfig {
-            l1i: mk(1 << 10),
-            l1d: mk(1 << 10),
-            l2: mk(4 << 10),
-            llc: mk(16 << 10),
+            l1i: mk(4),
+            l1d: mk(4),
+            l2: mk(16),
+            llc: mk(64),
             lat_l1: 4,
             lat_l2: 12,
             lat_llc: 38,
@@ -428,20 +453,21 @@ mod tests {
         /// Op encoding: `kind % 3` selects load/store/fetch; `kind >= 3`
         /// repeats the op back-to-back, guaranteeing the same-line MRU fast
         /// path fires on every stream (not just when the generator happens to
-        /// produce adjacent duplicates). The 24 KB address range over a 1 KB
-        /// L1D keeps hit and miss paths both hot; access widths up to 129
-        /// bytes straddle one or two 64-byte line boundaries.
+        /// produce adjacent duplicates). The 24 KB address range over an L1D
+        /// of 256 B to 4 KB keeps hit and miss paths both hot; access widths
+        /// up to 129 bytes straddle one or two 64-byte line boundaries.
         #[test]
         fn hierarchy_matches_reference(
             ops in prop::collection::vec((0u8..6, 0u64..(24u64 << 10), 1u32..130), 1..1200),
-            policy in prop::sample::select(ReplacementPolicy::ALL.to_vec()),
+            shape in prop::sample::select(shapes()),
             prefetch in prop::sample::select(vec![
                 PrefetchKind::None,
                 PrefetchKind::NextLine,
                 PrefetchKind::Stride,
             ]),
         ) {
-            let cfg = small_config(policy, prefetch);
+            let (policy, ways) = shape;
+            let cfg = small_config(policy, prefetch, ways);
             let mut live = Hierarchy::new(cfg);
             let mut reference = ReferenceHierarchy::new(cfg);
             for (i, &(kind, addr, bytes)) in ops.iter().enumerate() {
@@ -476,14 +502,15 @@ mod tests {
             pitch in 1u64..2048,
             count in 1usize..600,
             bytes in 1u32..130,
-            policy in prop::sample::select(ReplacementPolicy::ALL.to_vec()),
+            shape in prop::sample::select(shapes()),
             prefetch in prop::sample::select(vec![
                 PrefetchKind::None,
                 PrefetchKind::NextLine,
                 PrefetchKind::Stride,
             ]),
         ) {
-            let cfg = small_config(policy, prefetch);
+            let (policy, ways) = shape;
+            let cfg = small_config(policy, prefetch, ways);
             let mut live = Hierarchy::new(cfg);
             let mut reference = ReferenceHierarchy::new(cfg);
             for i in 0..count {

@@ -4,8 +4,8 @@
 //! the encoder's probe, no stream in between; `characterize_live`) —
 //! not approximately equal.
 //! Every optimization in the replay loop (batched chunk drains, cached
-//! per-kernel scalars, the incremental fetch walk, cache way hints) is
-//! licensed by these tests.
+//! per-kernel scalars, the incremental fetch walk, the branch-free cache
+//! set scan) is licensed by these tests.
 //!
 //! Bit-identity of the f64 fields is asserted through `serde::to_string`:
 //! the JSON text renders every float exactly (shortest round-trip), so
