@@ -44,11 +44,13 @@
 //! one is cheaper than deserializing its pixel planes, and a fully
 //! store-served run never needs the clip at all.
 //!
-//! A stream loaded from the store is not checked at load: the decode of
-//! its first full replay is the check. If that replay fails, the cache
-//! quarantines the `stream` entry, drops the capture from memory and
-//! records the encode afresh, once; the lookup counts as a store miss,
-//! as a quarantine at load would have.
+//! A stream loaded from the store is not decoded at load: its chunks
+//! stay in the entry file as spans, read at each replay, and the decode
+//! of its first full replay is the check. If that replay fails — or any
+//! later one finds the entry file cut short — the cache quarantines the
+//! `stream` entry, drops the capture from memory and records the encode
+//! afresh, once; the lookup counts as a store miss, as a quarantine at
+//! load would have.
 //!
 //! Parallelism never changes results: each worker owns its probes and
 //! `CoreModel`, and every probed buffer carries a synthetic
@@ -73,8 +75,10 @@ use store::{KIND_COST, KIND_RUN, KIND_STREAM, KIND_WINDOW};
 use vstress_codecs::batch::run_ordered;
 use vstress_codecs::{CodecId, Decoder, EncoderParams};
 use vstress_pipeline::CoreModel;
-use vstress_trace::stream::{chunk_channel, decode_chunk};
-use vstress_trace::{BranchRecord, BranchWindowProbe, ChunkTx, CountingProbe, StreamError};
+use vstress_trace::stream::chunk_channel;
+use vstress_trace::{
+    BranchRecord, BranchWindowProbe, ChunkDecoder, ChunkTx, CountingProbe, StreamError,
+};
 use vstress_video::vbench::FidelityConfig;
 use vstress_video::Clip;
 
@@ -257,14 +261,16 @@ pub struct EncodeDecodeCost {
     pub decode_instructions: u64,
 }
 
-/// A memoized captured encode, and whether its stream is still to be
-/// checked.
+/// A memoized captured encode, and what is known of its stream.
 struct Capture {
     encode: CapturedEncode,
-    /// Loaded from the store and not yet replayed in full. Only such a
-    /// stream can fail to replay, and its failure is the store's fault.
-    /// The flag guards no other data (the capture is immutable), so
-    /// relaxed accesses do: a stale `true` costs one more full replay.
+    /// Loaded from the store: the stream's chunks are spans of the entry
+    /// file, read at every replay. Only such a stream can fail to replay,
+    /// at any replay, and its failure is the store's fault.
+    stored: bool,
+    /// Loaded from the store and not yet replayed in full. The flag
+    /// guards no other data (the capture is immutable), so relaxed
+    /// accesses do: a stale `true` costs one more full replay.
     unchecked: AtomicBool,
 }
 
@@ -551,7 +557,9 @@ impl RunCache {
         memo(&self.captures, &self.capture_hits, &self.capture_misses, key, || {
             let stored = self.store.as_ref().and_then(|s| s.get(KIND_STREAM, &key.store_text()));
             match stored {
-                Some(encode) => Ok(Capture { encode, unchecked: AtomicBool::new(true) }),
+                Some(encode) => {
+                    Ok(Capture { encode, stored: true, unchecked: AtomicBool::new(true) })
+                }
                 None => self.record(spec, sink),
             }
         })
@@ -567,14 +575,16 @@ impl RunCache {
         if let Some(store) = &self.store {
             store.put(KIND_STREAM, &CaptureKey::of(spec).store_text(), &encode);
         }
-        Ok(Capture { encode, unchecked: AtomicBool::new(false) })
+        Ok(Capture { encode, stored: false, unchecked: AtomicBool::new(false) })
     }
 
     /// Runs `replay` over `cap`, the capture of `spec`; given an
     /// unchecked capture, `replay` must decode the whole stream. When a
-    /// stream loaded from the store fails to replay, its entry is
-    /// quarantined, the capture is dropped from memory and the encode is
-    /// recorded afresh, once; any other replay failure is an error.
+    /// stream loaded from the store fails to replay — at its first replay
+    /// a bad chunk, at any replay a chunk its entry file can no longer
+    /// supply — its entry is quarantined, the capture is dropped from
+    /// memory and the encode is recorded afresh, once; any other replay
+    /// failure is an error.
     fn replay_capture<T>(
         &self,
         spec: &RunSpec,
@@ -586,7 +596,7 @@ impl RunCache {
                 cap.unchecked.store(false, Ordering::Relaxed);
                 Ok(v)
             }
-            Err(why) if cap.is_unchecked() => {
+            Err(why) if cap.stored => {
                 let key = CaptureKey::of(spec);
                 self.reject_capture(&key, &cap, &why);
                 drop(cap);
@@ -653,17 +663,12 @@ impl RunCache {
             let divisor = spec.cache_divisor;
             let consumer = scope.spawn(move || {
                 let mut core = CoreModel::broadwell_scaled(divisor);
-                let (mut chunks, mut events) = (0usize, 0u64);
+                let mut decoder = ChunkDecoder::new();
                 // Stopping at an error drops the receiver, which lets the
                 // recording run to its end.
-                let decoded: Result<(), StreamError> = std::iter::from_fn(|| rx.recv())
-                    .try_for_each(|bytes| {
-                        events += decode_chunk(&bytes, &mut core)
-                            .map_err(|cause| StreamError::Malformed { chunk: chunks, cause })?;
-                        chunks += 1;
-                        Ok(())
-                    });
-                (core, chunks, decoded.map(|()| events))
+                let decoded = std::iter::from_fn(|| rx.recv())
+                    .try_for_each(|chunk| decoder.decode(&chunk, &mut core));
+                (core, decoder, decoded)
             });
             let cap = self.capture(spec, Some(tx));
             // The sink is dropped even on a memo/store hit (the unused
@@ -674,16 +679,13 @@ impl RunCache {
             }
         });
         let cap = cap?;
-        let (core, consumed, decoded) = fed;
-        if consumed > 0 || decoded.is_err() {
+        let (core, decoder, decoded) = fed;
+        if decoder.chunks() > 0 || decoded.is_err() {
             // Our sink fed the recording, so the consumer's core has
             // simulated exactly this stream; it fails only on a recorder
             // bug.
-            let counted = decoded?;
-            if counted != cap.stream.events() {
-                let events = cap.stream.events();
-                return Err(StreamError::EventCount { counted, events }.into());
-            }
+            decoded?;
+            decoder.finish(cap.stream.events())?;
             return Ok(run_from_parts(spec, &cap, core));
         }
         // The capture came from elsewhere (memory or store) and the
@@ -718,22 +720,13 @@ impl RunCache {
                 self.replay_capture(spec, cap, |cap| {
                     let total = cap.mix.total();
                     let mut probe = BranchWindowProbe::mid_run(total, window.min(total));
-                    if cap.is_unchecked() {
-                        // A stored stream's first replay reads it whole:
-                        // that decode is its check.
-                        cap.stream.try_replay(&mut probe)?;
-                    } else {
-                        // The probe ignores every event past the window,
-                        // so the replay stops after the chunk that
-                        // completes it.
-                        for (chunk, bytes) in cap.stream.chunks().iter().enumerate() {
-                            decode_chunk(bytes, &mut probe)
-                                .map_err(|cause| StreamError::Malformed { chunk, cause })?;
-                            if probe.is_complete() {
-                                break;
-                            }
-                        }
-                    }
+                    // A stored stream's first replay reads it whole: that
+                    // decode is its check. Otherwise the probe ignores
+                    // every event past the window, so the replay stops
+                    // after the chunk that completes it and reads no
+                    // chunk beyond.
+                    let whole = cap.is_unchecked();
+                    cap.stream.try_replay_until(&mut probe, |p| !whole && p.is_complete())?;
                     let captured = probe.window_retired().max(1);
                     Ok(BranchWindow {
                         records: probe.into_records().into(),

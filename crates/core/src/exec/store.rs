@@ -35,17 +35,28 @@
 //! The header is an `EntryHeader` in the serde shim's token format; the
 //! payload is the value in the shim's binary form
 //! ([`serde::to_bytes`]), so a stream's packed chunks and a capture's
-//! bitstream sit in the file as raw bytes. A read takes the file with
-//! one `fs::read` into the buffer it keeps, checks the header's version,
-//! kind and key text against the lookup (catching cross-version copies,
-//! cross-kind mixups and hash collisions), checks the payload length and
-//! its [`checksum64`] (catching torn and bit-flipped payloads), and then
-//! decodes the payload from that buffer through a
-//! [`serde::Deserializer::shared`]. A loaded event stream's chunks are
-//! ranges of the file buffer ([`serde::SharedBytes`]): the buffer is the
-//! only copy of the packed events for as long as the stream lives, and
-//! nothing decodes them until a replay does.
+//! bitstream sit in the file as raw bytes.
 //!
+//! A write never holds the payload whole: it serializes the value three
+//! times — once to count the payload's bytes, once to fold them into a
+//! [`Checksum64`], once into the temp file through the shim's bounded
+//! spill buffer ([`serde::to_writer`]) — so a stream's chunks go from the
+//! recorder's buffers straight to the file.
+//!
+//! A read opens the file and reads it once, through a bounded buffer.
+//! It checks the header's version, kind and key text against the lookup
+//! (catching cross-version copies, cross-kind mixups and hash
+//! collisions) and the payload length, then reads the payload through a
+//! [`serde::SparseInput`], folding it into a [`Checksum64`] as it goes
+//! (catching torn and bit-flipped payloads), and decodes the value only
+//! after that check. The payload's small tokens are kept in memory; each
+//! byte string stays in the file as an `(offset, len)` span. A loaded
+//! event stream's chunks are such spans ([`serde::SharedBytes`]) of the
+//! still-open entry file: nothing holds the packed events in memory, and
+//! a replay reads them one chunk at a time into one buffer it reuses.
+//! Renaming a new entry over the path leaves the open file, and so a
+//! loaded stream, as it was.
+
 //! # Robustness
 //!
 //! * **Atomic writes** — entries are written to a temp file in the same
@@ -57,16 +68,24 @@
 //!   value is recomputed and re-stored. Every length in an entry is
 //!   checked against the bytes actually present before it is used, so a
 //!   malformed one never panics or allocates. A stored stream whose
-//!   chunks fail the decode of their first replay is quarantined the
-//!   same way, after the fact (`RunStore::reject`), and recaptured.
-//!   Nothing in the store can make a run fail.
+//!   chunks fail the decode of their first replay, or whose file no
+//!   longer holds a chunk at a later one (cut short in place), is
+//!   quarantined the same way, after the fact (`RunStore::reject`), and
+//!   recaptured. Nothing in the store can make a run fail.
 //! * **Versioning** — bumping [`SCHEMA_VERSION`] changes the directory,
 //!   invalidating every old entry at once; the in-file version field
 //!   additionally rejects entries copied across version directories.
 
+use std::fs::File;
+use std::io::Write as _;
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The most bytes of an entry read to parse its header: far more than
+/// any key text needs.
+const HEADER_BYTES: usize = 64 << 10;
 
 /// Bump when the wire format of any stored payload type changes
 /// (serde shim format, `CharacterizationRun` fields, key text, …).
@@ -116,17 +135,95 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 /// any change confined to one word — in particular every single-byte
 /// flip — always changes the result. Eight bytes per multiply make it
 /// several times faster than byte-wise [`fnv64`] over the same payload.
+/// [`Checksum64`] computes the same value over bytes that arrive in
+/// pieces.
 pub fn checksum64(bytes: &[u8]) -> u64 {
+    let mut sum = Checksum64::new(bytes.len() as u64);
+    sum.update(bytes);
+    sum.finish()
+}
+
+/// [`checksum64`] of a payload fed in pieces of any size, seeded with
+/// the payload's length up front: a store write folds the payload as it
+/// serializes it and a store read as it reads it, with no copy of it
+/// whole. As an [`std::io::Write`] it consumes every byte it is given.
+#[derive(Debug, Clone)]
+pub struct Checksum64 {
+    h: u64,
+    /// Bytes of a word not yet complete.
+    tail: [u8; 8],
+    filled: usize,
+}
+
+impl Checksum64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = 0xcbf2_9ce4_8422_2325 ^ bytes.len() as u64;
-    let mut words = bytes.chunks_exact(8);
-    for word in &mut words {
-        h = (h ^ u64::from_le_bytes(word.try_into().expect("8-byte chunk"))).wrapping_mul(PRIME);
+
+    /// A checksum of a payload of `len` bytes, none fed yet.
+    pub fn new(len: u64) -> Self {
+        Checksum64 { h: 0xcbf2_9ce4_8422_2325 ^ len, tail: [0; 8], filled: 0 }
     }
-    let mut tail = [0u8; 8];
-    tail[..words.remainder().len()].copy_from_slice(words.remainder());
-    h = (h ^ u64::from_le_bytes(tail)).wrapping_mul(PRIME);
-    h ^ h >> 32
+
+    fn step(&mut self, word: [u8; 8]) {
+        self.h = (self.h ^ u64::from_le_bytes(word)).wrapping_mul(Self::PRIME);
+    }
+
+    /// Feeds the next bytes of the payload.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        if self.filled > 0 {
+            let take = bytes.len().min(8 - self.filled);
+            self.tail[self.filled..self.filled + take].copy_from_slice(&bytes[..take]);
+            self.filled += take;
+            bytes = &bytes[take..];
+            if self.filled < 8 {
+                return;
+            }
+            self.step(self.tail);
+            self.filled = 0;
+        }
+        let mut words = bytes.chunks_exact(8);
+        let mut h = self.h;
+        for word in &mut words {
+            h = (h ^ u64::from_le_bytes(word.try_into().expect("8-byte chunk")))
+                .wrapping_mul(Self::PRIME);
+        }
+        self.h = h;
+        let rest = words.remainder();
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.filled = rest.len();
+    }
+
+    /// The checksum of the bytes fed.
+    pub fn finish(mut self) -> u64 {
+        self.tail[self.filled..].fill(0);
+        self.step(self.tail);
+        self.h ^ self.h >> 32
+    }
+}
+
+impl std::io::Write for Checksum64 {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.update(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Counts the bytes written to it: the length pass of a store write.
+#[derive(Debug, Default)]
+struct ByteCount(u64);
+
+impl std::io::Write for ByteCount {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.0 += bytes.len() as u64;
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Hit/miss/robustness counters for one [`RunStore`].
@@ -334,19 +431,22 @@ impl RunStore {
     /// `cost`). Counts a hit or a miss; a corrupt entry is quarantined
     /// (renamed aside) and counted as both `quarantined` and a miss.
     ///
-    /// The entry file is read into one buffer that the value may keep:
-    /// its [`serde::SharedBytes`] fields are ranges of it.
+    /// The entry file is read once, through a bounded buffer: the header
+    /// first, then the payload, which is checksummed as it streams past
+    /// and checked before any field of the value is read. The value's
+    /// [`serde::SharedBytes`] fields — a stream's chunks — are spans of
+    /// the entry file, which stays open as long as they live; every other
+    /// field is read into memory.
     pub fn get<T>(&self, kind: &str, key_text: &str) -> Option<T>
     where
         T: for<'de> serde::Deserialize<'de>,
     {
         let path = self.entry_path(kind, key_text);
-        let Ok(data) = std::fs::read(&path) else {
+        let Ok(file) = std::fs::File::open(&path) else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         };
-        // Wrapping the `Vec` moves no bytes; `Arc<[u8]>` would copy them.
-        match self.parse_entry(kind, key_text, &Arc::new(data)) {
+        match self.parse_entry(kind, key_text, file) {
             Ok(v) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(v)
@@ -360,9 +460,10 @@ impl RunStore {
 
     /// Quarantines the entry of `key_text` in layer `kind` whose value
     /// [`RunStore::get`] served, after a check only its use can make
-    /// failed: a stored event stream whose chunks fail to replay. The
-    /// lookup is then counted exactly as a quarantine inside `get`: a
-    /// miss and a quarantine, not a hit.
+    /// failed: a stored event stream whose chunks fail to replay, or can
+    /// no longer be read from its entry file. The lookup is then counted
+    /// exactly as a quarantine inside `get`: a miss and a quarantine, not
+    /// a hit.
     pub(crate) fn reject(&self, kind: &str, key_text: &str, why: &dyn std::fmt::Display) {
         self.quarantine(&self.entry_path(kind, key_text), why);
         self.hits.fetch_sub(1, Ordering::Relaxed);
@@ -383,17 +484,17 @@ impl RunStore {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn parse_entry<T>(
-        &self,
-        kind: &str,
-        key_text: &str,
-        data: &Arc<Vec<u8>>,
-    ) -> Result<T, serde::Error>
+    fn parse_entry<T>(&self, kind: &str, key_text: &str, file: File) -> Result<T, serde::Error>
     where
         T: for<'de> serde::Deserialize<'de>,
     {
-        let mut d = serde::Deserializer::shared(data);
+        let io = |e: std::io::Error| serde::Error::new(format!("reading the entry: {e}"));
+        let file_len = file.metadata().map_err(io)?.len();
+        let mut head = vec![0; HEADER_BYTES.min(file_len as usize)];
+        file.read_exact_at(&mut head, 0).map_err(io)?;
+        let mut d = serde::Deserializer::binary(&head);
         let header = <EntryHeader as serde::Deserialize>::deserialize(&mut d)?;
+        let header_len = (head.len() - d.remaining().len()) as u64;
         if header.version != self.version {
             return Err(serde::Error::new(format!(
                 "schema version {} (store is v{})",
@@ -406,17 +507,26 @@ impl RunStore {
         if header.key != key_text {
             return Err(serde::Error::new("key text mismatch (hash collision?)"));
         }
-        let payload = d.remaining();
-        if payload.len() as u64 != header.len {
+        let payload_len = file_len - header_len;
+        if payload_len != header.len {
             return Err(serde::Error::new(format!(
-                "payload is {} bytes, header says {}",
-                payload.len(),
+                "payload is {payload_len} bytes, header says {}",
                 header.len
             )));
         }
-        if checksum64(payload) != header.checksum {
+        let mut sum = Checksum64::new(payload_len);
+        let mut read = 0;
+        let input = serde::SparseInput::read(Arc::new(file), header_len, |bytes| {
+            sum.update(bytes);
+            read += bytes.len() as u64;
+        })?;
+        if read != payload_len {
+            return Err(serde::Error::new(format!("payload changed size to {read} bytes")));
+        }
+        if sum.finish() != header.checksum {
             return Err(serde::Error::new("payload checksum mismatch"));
         }
+        let mut d = serde::Deserializer::sparse(&input);
         let value = T::deserialize(&mut d)?;
         d.end()?;
         Ok(value)
@@ -425,24 +535,39 @@ impl RunStore {
     /// Stores `value` under `key_text` in layer `kind` via an atomic
     /// temp-file + rename. Failures only bump `write_errors`: the store
     /// is an optimization and must never fail a run.
-    pub(crate) fn put<T: serde::Serialize>(&self, kind: &str, key_text: &str, value: &T) {
-        let payload = serde::to_bytes(value);
-        let header = serde::to_bytes(&EntryHeader {
-            version: self.version,
-            kind: kind.to_owned(),
-            key: key_text.to_owned(),
-            len: payload.len() as u64,
-            checksum: checksum64(&payload),
+    ///
+    /// The payload is serialized three times, and never held whole: once
+    /// to count its bytes, once to checksum them, and once into the temp
+    /// file through the serializer's bounded spill buffer.
+    pub fn put<T: serde::Serialize>(&self, kind: &str, key_text: &str, value: &T) {
+        let mut len = ByteCount::default();
+        let written = serde::to_writer(value, &mut len).and_then(|()| {
+            let mut sum = Checksum64::new(len.0);
+            serde::to_writer(value, &mut sum)?;
+            let header = serde::to_bytes(&EntryHeader {
+                version: self.version,
+                kind: kind.to_owned(),
+                key: key_text.to_owned(),
+                len: len.0,
+                checksum: sum.finish(),
+            });
+            self.write_atomic(&self.entry_path(kind, key_text), |f| {
+                f.write_all(&header)?;
+                serde::to_writer(value, f)
+            })
         });
-        let path = self.entry_path(kind, key_text);
-        if self.write_atomic(&path, &[&header, &payload]).is_err() {
+        if written.is_err() {
             self.write_errors.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Writes the concatenation of `parts` to `path` atomically.
-    fn write_atomic(&self, path: &Path, parts: &[&[u8]]) -> std::io::Result<()> {
-        use std::io::Write as _;
+    /// Writes a file to `path` atomically: `write` fills a temp file in
+    /// the same directory, which is then renamed into place.
+    fn write_atomic(
+        &self,
+        path: &Path,
+        write: impl FnOnce(&mut File) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
         let dir = path.parent().expect("entry paths always have a parent");
         std::fs::create_dir_all(dir)?;
         let tmp = dir.join(format!(
@@ -450,8 +575,7 @@ impl RunStore {
             std::process::id(),
             self.tmp_counter.fetch_add(1, Ordering::Relaxed)
         ));
-        let written = std::fs::File::create(&tmp)
-            .and_then(|mut f| parts.iter().try_for_each(|part| f.write_all(part)));
+        let written = File::create(&tmp).and_then(|mut f| write(&mut f));
         let renamed = written.and_then(|()| std::fs::rename(&tmp, path));
         if renamed.is_err() {
             let _ = std::fs::remove_file(&tmp);
@@ -513,6 +637,73 @@ mod tests {
         assert_eq!(store.stats().quarantined, entry.len() as u64);
         std::fs::write(&path, &entry).unwrap();
         assert_eq!(store.get::<Value>(KIND_RUN, "k"), Some(value));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    mod checksum {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Fed in two pieces split anywhere — on a word boundary or
+            /// not — or in many pieces of random sizes, the incremental
+            /// checksum is [`checksum64`] of the whole.
+            #[test]
+            fn incremental_checksum_equals_checksum64_at_every_split(
+                bytes in prop::collection::vec(any::<u8>(), 0..80),
+                pieces in prop::collection::vec(0usize..20, 0..12),
+            ) {
+                let whole = checksum64(&bytes);
+                for split in 0..=bytes.len() {
+                    let mut sum = Checksum64::new(bytes.len() as u64);
+                    sum.update(&bytes[..split]);
+                    sum.update(&bytes[split..]);
+                    prop_assert_eq!(sum.finish(), whole, "split at {}", split);
+                }
+                let mut sum = Checksum64::new(bytes.len() as u64);
+                let mut rest = &bytes[..];
+                for n in pieces {
+                    let (piece, tail) = rest.split_at(n.min(rest.len()));
+                    sum.update(piece);
+                    rest = tail;
+                }
+                sum.update(rest);
+                prop_assert_eq!(sum.finish(), whole);
+            }
+        }
+    }
+
+    #[test]
+    fn put_writes_the_bytes_of_a_whole_payload_envelope() {
+        // The streamed write equals the envelope built from one payload
+        // buffer, byte for byte: many small tokens, and chunks larger
+        // than the spill buffer.
+        use vstress_trace::Probe as _;
+        let mut rec = vstress_trace::StreamRecorder::new().with_chunk_target(100_000);
+        let mut x = 1u64;
+        for _ in 0..100_000 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            rec.branch(x >> 16, x & 1 == 1);
+        }
+        let value = ((0..20_000).collect::<Vec<u64>>(), rec.finish().0);
+        assert!(value.1.chunks().len() > 3);
+        let root = tmp_root("streamed-put");
+        let store = RunStore::open(&root).unwrap();
+        store.put(KIND_STREAM, "k", &value);
+        let payload = serde::to_bytes(&value);
+        let mut expected = serde::to_bytes(&EntryHeader {
+            version: SCHEMA_VERSION,
+            kind: KIND_STREAM.to_owned(),
+            key: "k".to_owned(),
+            len: payload.len() as u64,
+            checksum: checksum64(&payload),
+        });
+        expected.extend_from_slice(&payload);
+        assert_eq!(std::fs::read(store.entry_path(KIND_STREAM, "k")).unwrap(), expected);
+        let back: (Vec<u64>, vstress_trace::EventStream) = store.get(KIND_STREAM, "k").unwrap();
+        assert_eq!(back, value);
         let _ = std::fs::remove_dir_all(&root);
     }
 

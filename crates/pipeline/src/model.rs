@@ -4,8 +4,7 @@ use crate::config::CoreConfig;
 use crate::report::{CoreReport, ResourceStalls};
 use vstress_bpred::{BranchPredictor, Gshare};
 use vstress_cache::{Hierarchy, HierarchyConfig, ServiceLevel};
-use vstress_trace::stream::decode_chunk;
-use vstress_trace::{EventStream, Kernel, Probe};
+use vstress_trace::{ChunkDecoder, EventStream, Kernel, Probe, SharedBytes};
 
 /// An interval-model out-of-order core consuming an instrumented encode.
 ///
@@ -374,11 +373,12 @@ impl<B: BranchPredictor> CoreModel<B> {
     ///
     /// # Panics
     ///
-    /// Panics on a malformed chunk; [`decode_chunk`] with the model as
-    /// its probe returns the error instead.
-    pub fn consume_chunk(&mut self, chunk: &[u8]) {
-        if let Err(e) = decode_chunk(chunk, self) {
-            panic!("malformed event stream chunk: {e}");
+    /// Panics on a chunk that cannot be read or decoded; a
+    /// [`ChunkDecoder`] with the model as its probe returns the error
+    /// instead.
+    pub fn consume_chunk(&mut self, chunk: &SharedBytes) {
+        if let Err(e) = ChunkDecoder::new().decode(chunk, self) {
+            panic!("{e}");
         }
     }
 

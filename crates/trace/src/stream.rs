@@ -42,9 +42,13 @@
 //! count and one byte-string token per chunk. Loading it checks only
 //! that framing: the chunks are not decoded until a replay, whose own
 //! decode is the check, so a stream costs one decode, not a validation
-//! pass and then a decode. Loaded from a
-//! [`serde::Deserializer::shared`] buffer (the store's entry file), the
-//! chunks are ranges of that one buffer ([`SharedBytes`]), not copies.
+//! pass and then a decode. Loaded from a [`serde::SparseInput`] (the
+//! store's entry file), each chunk is an `(offset, len)` span of the
+//! still-open file ([`SharedBytes`]), not a copy: a replay reads one
+//! chunk at a time into one buffer it reuses ([`ChunkDecoder`]), so a
+//! loaded stream costs memory for one chunk per replay, not for the
+//! stream. A chunk the file can no longer supply fails the replay with
+//! [`StreamError::Read`].
 //!
 //! # Replay contract
 //!
@@ -246,10 +250,11 @@ impl AddressCanonicalizer {
 ///
 /// Produced by [`StreamRecorder::finish`]; consumed by
 /// [`EventStream::try_replay`] (all chunks, in order, into one probe) or
-/// chunk-by-chunk via [`decode_chunk`]. Chunks are [`SharedBytes`] so a
-/// stream can be fanned out to concurrent consumers without copying: a
-/// recorded chunk owns its buffer, a loaded one is a range of the buffer
-/// it was loaded from. Equality compares the chunks' bytes.
+/// chunk-by-chunk via a [`ChunkDecoder`]. Chunks are [`SharedBytes`] so
+/// a stream can be fanned out to concurrent consumers without copying: a
+/// recorded chunk owns its buffer in memory, a loaded one is a span of
+/// the file it was loaded from, read when a replay reaches it. Equality
+/// compares the chunks' bytes.
 #[derive(Clone, PartialEq, Eq)]
 pub struct EventStream {
     chunks: Vec<SharedBytes>,
@@ -301,6 +306,14 @@ pub enum StreamError {
         /// Events the stream records.
         events: u64,
     },
+    /// Chunk `chunk` (0-based), a span of a file, could not be read: the
+    /// file failed or was cut short after the stream was loaded.
+    Read {
+        /// Index of the chunk.
+        chunk: usize,
+        /// The read's error.
+        kind: std::io::ErrorKind,
+    },
 }
 
 impl std::fmt::Display for StreamError {
@@ -311,6 +324,9 @@ impl std::fmt::Display for StreamError {
             }
             StreamError::EventCount { counted, events } => {
                 write!(f, "event stream chunks hold {counted} events, header says {events}")
+            }
+            StreamError::Read { chunk, kind } => {
+                write!(f, "event stream chunk {chunk}: read failed: {kind}")
             }
         }
     }
@@ -350,21 +366,37 @@ impl EventStream {
     /// # Errors
     ///
     /// Returns [`StreamError::Malformed`] at the first chunk that cannot
-    /// be decoded (the events before it have reached `probe`), and
+    /// be decoded and [`StreamError::Read`] at the first that cannot be
+    /// read (the events before it have reached `probe`), and
     /// [`StreamError::EventCount`] when the count differs. A recorded
     /// stream never fails; a loaded one fails when its stored bytes are
-    /// damaged in a way the store's checksum did not catch.
+    /// damaged in a way the store's checksum did not catch, or its file is
+    /// cut short after the load.
     pub fn try_replay<P: Probe>(&self, probe: &mut P) -> Result<(), StreamError> {
-        let mut counted = 0u64;
-        for (chunk, bytes) in self.chunks.iter().enumerate() {
-            counted += decode_chunk(bytes, probe)
-                .map_err(|cause| StreamError::Malformed { chunk, cause })?;
+        self.try_replay_until(probe, |_| false)
+    }
+
+    /// [`EventStream::try_replay`] that stops after the first chunk at
+    /// whose end `done(probe)` holds: the chunks after it are neither read
+    /// nor decoded, and the event count is checked only when every chunk
+    /// was.
+    ///
+    /// # Errors
+    ///
+    /// As [`EventStream::try_replay`], for the chunks it reaches.
+    pub fn try_replay_until<P: Probe>(
+        &self,
+        probe: &mut P,
+        mut done: impl FnMut(&P) -> bool,
+    ) -> Result<(), StreamError> {
+        let mut decoder = ChunkDecoder::new();
+        for chunk in &self.chunks {
+            decoder.decode(chunk, probe)?;
+            if done(probe) {
+                return Ok(());
+            }
         }
-        if counted == self.events {
-            Ok(())
-        } else {
-            Err(StreamError::EventCount { counted, events: self.events })
-        }
+        decoder.finish(self.events)
     }
 
     /// [`EventStream::try_replay`] for a stream known to be well formed,
@@ -380,11 +412,70 @@ impl EventStream {
     }
 }
 
+/// Decodes the chunks of one stream, in order, into a probe: the step
+/// every replay is made of, whether the chunks come from an
+/// [`EventStream`] or a [`chunk_channel`]. A chunk that is a span of a
+/// file is read into one buffer the decoder keeps and reuses, so decoding
+/// a loaded stream holds one chunk in memory at a time.
+#[derive(Debug, Default)]
+pub struct ChunkDecoder {
+    buf: Vec<u8>,
+    chunks: usize,
+    events: u64,
+}
+
+impl ChunkDecoder {
+    /// A decoder at the first chunk.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Reads and decodes the next chunk into `probe`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StreamError::Read`] if the chunk cannot be read and
+    /// [`StreamError::Malformed`] if it cannot be decoded (the events
+    /// before the bad byte have reached `probe`).
+    pub fn decode<P: Probe>(
+        &mut self,
+        chunk: &SharedBytes,
+        probe: &mut P,
+    ) -> Result<(), StreamError> {
+        let index = self.chunks;
+        let bytes = chunk
+            .read(&mut self.buf)
+            .map_err(|e| StreamError::Read { chunk: index, kind: e.kind() })?;
+        self.events += decode_chunk(bytes, probe)
+            .map_err(|cause| StreamError::Malformed { chunk: index, cause })?;
+        self.chunks += 1;
+        Ok(())
+    }
+
+    /// Chunks decoded so far.
+    pub fn chunks(&self) -> usize {
+        self.chunks
+    }
+
+    /// Checks that the chunks decoded so far held `events` events.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StreamError::EventCount`] when they held another number.
+    pub fn finish(self, events: u64) -> Result<(), StreamError> {
+        if self.events == events {
+            Ok(())
+        } else {
+            Err(StreamError::EventCount { counted: self.events, events })
+        }
+    }
+}
+
 /// Decodes one packed chunk, dispatching each event into `probe`, and
 /// returns the number of events it held.
 ///
 /// Address and PC deltas are chunk-local, so any chunk of a stream can
-/// be decoded on its own; replaying a whole stream is [`decode_chunk`]
+/// be decoded on its own; replaying a whole stream is a [`ChunkDecoder`]
 /// over its chunks in order.
 ///
 /// # Errors
@@ -859,7 +950,7 @@ impl serde::Serialize for EventStream {
         s.write_u64(self.events);
         s.write_seq_len(self.chunks.len());
         for chunk in &self.chunks {
-            s.write_bytes(chunk);
+            s.write_shared_bytes(chunk);
         }
     }
 }
@@ -867,8 +958,8 @@ impl serde::Serialize for EventStream {
 /// Loads a stream, checking its framing only: the format version, the
 /// event count and the chunk tokens. The chunks' contents are checked
 /// by the decode of a replay ([`EventStream::try_replay`]). From a
-/// [`serde::Deserializer::shared`] input every chunk is a range of the
-/// input buffer.
+/// [`serde::Deserializer::sparse`] input every chunk is a span of the
+/// input's file.
 impl<'de> serde::Deserialize<'de> for EventStream {
     fn deserialize(d: &mut serde::Deserializer<'de>) -> Result<Self, serde::Error> {
         let version = d.read_u64()?;
@@ -1164,7 +1255,8 @@ mod tests {
     #[test]
     fn recorded_chunks_validate_to_their_event_count() {
         let (stream, _) = capture(40_000, 512);
-        let counted: u64 = stream.chunks().iter().map(|c| validate_chunk(c).unwrap()).sum();
+        let counted: u64 =
+            stream.chunks().iter().map(|c| validate_chunk(c.as_slice().unwrap()).unwrap()).sum();
         assert_eq!(counted, stream.events());
     }
 
@@ -1174,7 +1266,7 @@ mod tests {
         // event boundary is a valid chunk with fewer events, which the
         // header's event count catches.
         let (stream, _) = capture(300, 1 << 20);
-        let chunk = &stream.chunks()[0];
+        let chunk = stream.chunks()[0].as_slice().unwrap();
         for cut in 0..chunk.len() {
             let bytes = stream_of(&chunk[..cut], stream.events());
             let cut_stream: EventStream = serde::from_bytes(&bytes).unwrap();
@@ -1182,15 +1274,70 @@ mod tests {
         }
     }
 
+    /// `stream` in its binary form, in a fresh file under the temp
+    /// directory, loaded sparsely: its chunks are spans of the file. The
+    /// path is gone again when this returns; the file lives on, open.
+    fn load_from_file(stream: &EventStream, name: &str) -> (EventStream, std::fs::File) {
+        let path =
+            std::env::temp_dir().join(format!("vstress-stream-unit-{}-{name}", std::process::id()));
+        std::fs::write(&path, serde::to_bytes(stream)).unwrap();
+        let file = std::fs::OpenOptions::new().read(true).write(true).open(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let input =
+            serde::SparseInput::read(Arc::new(file.try_clone().unwrap()), 0, |_| ()).unwrap();
+        let loaded = serde::Deserialize::deserialize(&mut serde::Deserializer::sparse(&input));
+        (loaded.unwrap(), file)
+    }
+
     #[test]
-    fn loaded_chunks_share_the_input_buffer() {
+    fn loaded_chunks_are_spans_of_the_input_file() {
         let (stream, _) = capture(25_000, 2048);
-        let wire = Arc::new(serde::to_bytes(&stream));
-        let loaded: EventStream =
-            serde::Deserialize::deserialize(&mut serde::Deserializer::shared(&wire)).unwrap();
+        let (loaded, file) = load_from_file(&stream, "spans");
         assert_eq!(loaded, stream);
         assert!(loaded.chunks().len() > 1);
-        assert!(loaded.chunks().iter().all(|c| Arc::ptr_eq(c.buffer(), &wire)));
+        assert!(loaded.chunks().iter().all(|c| c.as_slice().is_none()), "no chunk is in memory");
+        assert_eq!(loaded.packed_bytes(), stream.packed_bytes());
+        let mut replayed = CountingProbe::new();
+        loaded.try_replay(&mut replayed).unwrap();
+        let mut recorded = CountingProbe::new();
+        stream.replay(&mut recorded);
+        assert_eq!(replayed, recorded);
+
+        // Cut the file in half in place: the replay fails at the chunk
+        // the cut runs through, with a read error, not a panic.
+        file.set_len(file.metadata().unwrap().len() / 2).unwrap();
+        match loaded.try_replay(&mut CountingProbe::new()) {
+            Err(StreamError::Read { chunk, kind }) => {
+                assert!(chunk > 0 && chunk < loaded.chunks().len(), "chunk {chunk}");
+                assert_eq!(kind, std::io::ErrorKind::UnexpectedEof);
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn replay_until_stops_after_the_chunk_that_completes() {
+        let (stream, _) = capture(25_000, 2048);
+        let (loaded, file) = load_from_file(&stream, "until");
+        let mut probe = CountingProbe::new();
+        let mut seen = 0;
+        loaded
+            .try_replay_until(&mut probe, |_| {
+                seen += 1;
+                seen == 2
+            })
+            .unwrap();
+        assert_eq!(seen, 2, "stopped after the second chunk");
+        // The chunks after the stop are never read: a file cut inside the
+        // third chunk (past every token header, short of its ~2 KB payload)
+        // still serves the same replay.
+        let end = serde::to_bytes(&stream).len() - stream.packed_bytes()
+            + stream.chunks()[..2].iter().map(SharedBytes::len).sum::<usize>();
+        file.set_len(end as u64).unwrap();
+        let mut again = CountingProbe::new();
+        loaded.try_replay_until(&mut again, |p| p.retired() >= probe.retired()).unwrap();
+        assert_eq!(again, probe);
+        assert!(loaded.try_replay(&mut CountingProbe::new()).is_err());
     }
 
     /// A chunk recorded from [`drive`], for mutation.
@@ -1218,7 +1365,7 @@ mod tests {
             flips in prop::collection::vec((0usize..4096, any::<u8>()), 0..4),
             cut in 0usize..8192,
         ) {
-            let mut bytes = recorded_chunk().to_vec();
+            let mut bytes = recorded_chunk().as_slice().unwrap().to_vec();
             for (at, bits) in flips {
                 let at = at % bytes.len();
                 bytes[at] ^= bits;
@@ -1261,7 +1408,7 @@ mod tests {
             let mut seen = Vec::new();
             let mut replayed = CountingProbe::new();
             while let Some(chunk) = rx.recv() {
-                decode_chunk(&chunk, &mut replayed).unwrap();
+                decode_chunk(chunk.as_slice().unwrap(), &mut replayed).unwrap();
                 seen.push(chunk);
             }
             (seen, replayed)

@@ -49,17 +49,26 @@
 //! [`Deserializer::read_bytes`] borrows them from the input without a
 //! copy. Every other token is spelled identically in both forms.
 //!
-//! A [`SharedBytes`] value read from a [`Deserializer::shared`] input
-//! goes one step further: it is a range of the input's own buffer, so a
-//! value can keep its byte strings after the deserializer is gone
-//! without copying them out.
+//! Neither direction needs a whole value's bytes in memory at once.
+//! [`to_writer`] writes the binary form through a bounded spill buffer,
+//! handing byte strings to the writer as they are. A [`SparseInput`]
+//! reads a binary-form file through a bounded buffer and keeps only its
+//! small tokens; each byte string stays in the file, and
+//! [`Deserializer::read_shared_bytes`] hands it out as a file-backed
+//! [`SharedBytes`] span that is read when it is used.
 
 pub use serde_derive::{Deserialize, Serialize};
 
 use std::borrow::Cow;
 use std::fmt;
-use std::ops::{Deref, Range};
+use std::fs::File;
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::os::unix::fs::FileExt;
 use std::sync::{Arc, Mutex};
+
+/// Bytes of small tokens a [`to_writer`] serializer gathers before it
+/// writes them, and the buffer a [`SparseInput`] reads its file through.
+const BUFFER_BYTES: usize = 64 << 10;
 
 /// Error produced by deserialization (serialization is infallible).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,6 +115,10 @@ pub trait Deserialize<'de>: Sized {
 
 /// Serializes `value` to a `String` in the text form of the wire format
 /// (byte strings as hex).
+///
+/// # Panics
+///
+/// Panics if a file-backed [`SharedBytes`] in `value` cannot be read.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> String {
     let mut s = Serializer::new();
     value.serialize(&mut s);
@@ -128,10 +141,29 @@ where
 
 /// Serializes `value` to bytes in the binary form of the wire format
 /// (byte strings raw).
+///
+/// # Panics
+///
+/// Panics if a file-backed [`SharedBytes`] in `value` cannot be read.
 pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
     let mut s = Serializer::binary();
     value.serialize(&mut s);
     s.finish()
+}
+
+/// Writes `value` to `w` in the binary form, exactly the bytes of
+/// [`to_bytes`], without holding them in memory: small tokens gather in
+/// a 64 KiB buffer, and each byte string goes to `w` as it is.
+///
+/// # Errors
+///
+/// Returns the first error from `w`, or from reading a file-backed
+/// [`SharedBytes`] in `value`; nothing is written after it.
+pub fn to_writer<T: Serialize + ?Sized, W: Write>(value: &T, mut w: W) -> io::Result<()> {
+    let mut s = Serializer { sink: Some(&mut w), ..Serializer::binary() };
+    value.serialize(&mut s);
+    s.spill();
+    s.error.map_or(Ok(()), Err)
 }
 
 /// Deserializes a value from bytes produced by [`to_bytes`].
@@ -179,14 +211,32 @@ fn hex_decode(text: &[u8]) -> Result<Vec<u8>, Error> {
 }
 
 /// Token writer for the wire format; the default is the text form.
-#[derive(Debug, Default)]
-pub struct Serializer {
+///
+/// It gathers the tokens in memory ([`Serializer::finish`]), or, inside
+/// [`to_writer`], spills them to a writer as they come.
+#[derive(Default)]
+pub struct Serializer<'w> {
     out: Vec<u8>,
     /// Whether `x` tokens carry raw bytes (binary form) or hex (text).
     binary: bool,
+    /// Where `out` spills once it holds [`BUFFER_BYTES`], and where byte
+    /// strings go directly; `None` keeps every token in `out`.
+    sink: Option<&'w mut dyn Write>,
+    /// The first write or read error; nothing is written after it.
+    error: Option<io::Error>,
 }
 
-impl Serializer {
+impl fmt::Debug for Serializer<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Serializer")
+            .field("buffered", &self.out.len())
+            .field("binary", &self.binary)
+            .field("spills", &self.sink.is_some())
+            .finish()
+    }
+}
+
+impl Serializer<'_> {
     /// An empty serializer for the text form (byte strings as hex).
     pub fn new() -> Self {
         Self::default()
@@ -194,18 +244,62 @@ impl Serializer {
 
     /// An empty serializer for the binary form (byte strings raw).
     pub fn binary() -> Self {
-        Serializer { out: Vec::new(), binary: true }
+        Serializer { binary: true, ..Self::default() }
     }
 
     /// The serialized tokens accumulated so far.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a file-backed [`SharedBytes`] could not be read.
     pub fn finish(self) -> Vec<u8> {
+        if let Some(e) = self.error {
+            panic!("serde: reading a file-backed byte string failed: {e}");
+        }
         self.out
+    }
+
+    /// Writes `bytes` to the sink, keeping the first error.
+    fn emit(&mut self, bytes: &[u8]) {
+        if self.error.is_none() {
+            if let Some(sink) = self.sink.as_mut() {
+                self.error = sink.write_all(bytes).err();
+            }
+        }
+    }
+
+    /// Spills the gathered tokens once they fill [`BUFFER_BYTES`].
+    fn bound(&mut self) {
+        if self.out.len() >= BUFFER_BYTES {
+            self.spill();
+        }
+    }
+
+    /// Hands the gathered tokens to the sink, if there is one.
+    fn spill(&mut self) {
+        if self.sink.is_some() && !self.out.is_empty() {
+            let out = std::mem::take(&mut self.out);
+            self.emit(&out);
+            self.out = out;
+            self.out.clear();
+        }
+    }
+
+    /// Appends raw payload bytes: straight to the sink when there is one,
+    /// after the tokens gathered before them.
+    fn write_raw(&mut self, bytes: &[u8]) {
+        if self.sink.is_some() {
+            self.spill();
+            self.emit(bytes);
+        } else {
+            self.out.extend_from_slice(bytes);
+        }
     }
 
     /// Writes `kind`, the body `v` and `end`: a space closes a token,
     /// a `:` opens a length-prefixed payload.
     fn write_head(&mut self, kind: u8, v: impl fmt::Display, end: char) {
-        use std::io::Write as _;
+        self.bound();
         self.out.push(kind);
         write!(self.out, "{v}{end}").expect("writing to a Vec cannot fail");
     }
@@ -227,6 +321,7 @@ impl Serializer {
 
     /// Writes a boolean token.
     pub fn write_bool(&mut self, v: bool) {
+        self.bound();
         self.out.extend_from_slice(if v { b"b1 " } else { b"b0 " });
     }
 
@@ -241,12 +336,39 @@ impl Serializer {
     /// form, their hex in the text form.
     pub fn write_bytes(&mut self, v: &[u8]) {
         self.write_head(b'x', v.len(), ':');
+        self.write_payload(v);
+        self.out.push(b' ');
+    }
+
+    /// Writes a [`SharedBytes`] as a byte-string token, reading a
+    /// file-backed one in 64 KiB pieces. A read error is kept (see
+    /// [`to_writer`] and [`Serializer::finish`]).
+    pub fn write_shared_bytes(&mut self, v: &SharedBytes) {
+        let (file, offset, len) = match &v.0 {
+            Backing::Memory(bytes) => return self.write_bytes(bytes),
+            Backing::File { file, offset, len } => (file, offset, len),
+        };
+        self.write_head(b'x', len, ':');
+        let mut piece = vec![0; (*len).min(BUFFER_BYTES)];
+        let mut at = 0;
+        while at < *len && self.error.is_none() {
+            let n = piece.len().min(len - at);
+            match file.read_exact_at(&mut piece[..n], offset + at as u64) {
+                Ok(()) => self.write_payload(&piece[..n]),
+                Err(e) => self.error = Some(e),
+            }
+            at += n;
+        }
+        self.out.push(b' ');
+    }
+
+    /// The payload of a byte-string token: raw or as hex.
+    fn write_payload(&mut self, v: &[u8]) {
         if self.binary {
-            self.out.extend_from_slice(v);
+            self.write_raw(v);
         } else {
             hex_encode(v, &mut self.out);
         }
-        self.out.push(b' ');
     }
 
     /// Writes a tag token (a struct name or enum variant; must be a
@@ -256,6 +378,7 @@ impl Serializer {
             !tag.is_empty() && tag.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'),
             "tags must be identifiers, got {tag:?}"
         );
+        self.bound();
         self.out.push(b't');
         self.out.extend_from_slice(tag.as_bytes());
         self.out.push(b' ');
@@ -274,26 +397,28 @@ pub struct Deserializer<'de> {
     pos: usize,
     /// Whether `x` tokens carry raw bytes (binary form) or hex (text).
     binary: bool,
-    /// The buffer `input` is, when [`SharedBytes`] may share it.
-    owner: Option<&'de Arc<Vec<u8>>>,
+    /// For a [`Deserializer::sparse`] input: the input, and the index of
+    /// the next byte string's span.
+    sparse: Option<(&'de SparseInput, usize)>,
 }
 
 impl<'de> Deserializer<'de> {
     /// A deserializer at the start of text-form `input`.
     pub fn new(input: &'de [u8]) -> Self {
-        Deserializer { input, pos: 0, binary: false, owner: None }
+        Deserializer { input, pos: 0, binary: false, sparse: None }
     }
 
     /// A deserializer at the start of binary-form `input`.
     pub fn binary(input: &'de [u8]) -> Self {
-        Deserializer { input, pos: 0, binary: true, owner: None }
+        Deserializer { input, pos: 0, binary: true, sparse: None }
     }
 
-    /// A deserializer at the start of the binary-form buffer `input`,
-    /// whose byte strings [`Deserializer::read_shared_bytes`] hands out
-    /// as ranges of `input` itself.
-    pub fn shared(input: &'de Arc<Vec<u8>>) -> Self {
-        Deserializer { input, pos: 0, binary: true, owner: Some(input) }
+    /// A deserializer at the start of a [`SparseInput`]: every byte string
+    /// is a span of its file. [`Deserializer::read_shared_bytes`] hands
+    /// the span out as it is; [`Deserializer::read_bytes`] reads it into a
+    /// `Vec` of its own.
+    pub fn sparse(input: &'de SparseInput) -> Self {
+        Deserializer { input: &input.tokens, pos: 0, binary: true, sparse: Some((input, 0)) }
     }
 
     /// Parses one `T` and checks that nothing but whitespace follows.
@@ -309,7 +434,8 @@ impl<'de> Deserializer<'de> {
     ///
     /// Returns [`Error`] if non-whitespace input remains.
     pub fn end(&self) -> Result<(), Error> {
-        if self.remaining().iter().all(u8::is_ascii_whitespace) {
+        let spans_left = self.sparse.is_some_and(|(input, next)| next < input.spans.len());
+        if !spans_left && self.remaining().iter().all(u8::is_ascii_whitespace) {
             Ok(())
         } else {
             Err(Error::new(format!("trailing input at byte {}", self.pos)))
@@ -455,6 +581,13 @@ impl<'de> Deserializer<'de> {
     /// (text form) bad hex.
     pub fn read_bytes(&mut self) -> Result<Cow<'de, [u8]>, Error> {
         let len: usize = self.parse_kind(b'x', "byte-string length")?;
+        if self.sparse.is_some() {
+            let mut bytes = Vec::new();
+            self.take_span(len)?
+                .read(&mut bytes)
+                .map_err(|e| Error::new(format!("reading a byte string: {e}")))?;
+            return Ok(Cow::Owned(bytes));
+        }
         if self.binary {
             return Ok(Cow::Borrowed(self.take_payload(len)?));
         }
@@ -464,21 +597,35 @@ impl<'de> Deserializer<'de> {
         Ok(Cow::Owned(hex_decode(self.take_payload(hex_len)?)?))
     }
 
-    /// Reads a byte-string token as [`SharedBytes`]: a range of the
-    /// input buffer when the deserializer is [`Deserializer::shared`],
-    /// otherwise a copy in a buffer of its own.
+    /// Reads a byte-string token as [`SharedBytes`]: a span of the file
+    /// when the deserializer is [`Deserializer::sparse`], otherwise a
+    /// copy in a buffer of its own.
     ///
     /// # Errors
     ///
     /// As [`Deserializer::read_bytes`].
     pub fn read_shared_bytes(&mut self) -> Result<SharedBytes, Error> {
-        let Some(buf) = self.owner else {
+        if self.sparse.is_none() {
             return Ok(self.read_bytes()?.into_owned().into());
-        };
+        }
         let len: usize = self.parse_kind(b'x', "byte-string length")?;
-        let start = self.pos;
-        self.take_payload(len)?;
-        Ok(SharedBytes { buf: Arc::clone(buf), range: start..start + len })
+        self.take_span(len)
+    }
+
+    /// The next byte string's span of a sparse input, whose `x` token
+    /// says it holds `len` bytes.
+    fn take_span(&mut self, len: usize) -> Result<SharedBytes, Error> {
+        let (input, next) = self.sparse.as_mut().expect("a sparse input");
+        let &(offset, span_len) =
+            input.spans.get(*next).ok_or_else(|| Error::new("no byte string left in the file"))?;
+        *next += 1;
+        if span_len != len {
+            return Err(Error::new(format!("byte string of {len} bytes spans {span_len}")));
+        }
+        if self.input.get(self.pos) == Some(&b' ') {
+            self.pos += 1;
+        }
+        Ok(SharedBytes(Backing::File { file: Arc::clone(&input.file), offset, len }))
     }
 
     /// Reads a tag token (struct name / enum variant).
@@ -515,44 +662,85 @@ impl<'de> Deserializer<'de> {
     }
 }
 
-/// An immutable byte string that shares its buffer: an `Arc` over a
-/// byte buffer plus the range of it this value covers.
+/// An immutable byte string that shares its bytes: a buffer in memory,
+/// or a span of an open file.
 ///
-/// Clones share the buffer, and equality compares bytes, never buffers.
-/// A value read from a [`Deserializer::shared`] input is a range of
-/// that input's buffer; one made from a `Vec<u8>` owns the whole `Vec`,
-/// without copying it.
+/// Clones share the buffer or the file, and equality compares bytes.
+/// One made from a `Vec<u8>` owns the whole `Vec`, without copying it. A
+/// value read from a [`Deserializer::sparse`] input is a span of that
+/// input's file, read each time it is used ([`SharedBytes::read`]); it
+/// reads the bytes the file holds then. The open file keeps its bytes
+/// when the path is renamed over or deleted, but not when the file itself
+/// is written to or cut short.
 #[derive(Clone)]
-pub struct SharedBytes {
-    buf: Arc<Vec<u8>>,
-    range: Range<usize>,
+pub struct SharedBytes(Backing);
+
+#[derive(Clone)]
+enum Backing {
+    /// A buffer of its own, shared by clones.
+    Memory(Arc<Vec<u8>>),
+    /// `len` bytes at `offset` of `file`.
+    File { file: Arc<File>, offset: u64, len: usize },
 }
 
 impl SharedBytes {
-    /// The buffer these bytes are a range of.
-    pub fn buffer(&self) -> &Arc<Vec<u8>> {
-        &self.buf
+    /// Number of bytes.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Backing::Memory(bytes) => bytes.len(),
+            Backing::File { len, .. } => *len,
+        }
+    }
+
+    /// Whether there are no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The bytes, if they are in memory; `None` for a span of a file.
+    pub fn as_slice(&self) -> Option<&[u8]> {
+        match &self.0 {
+            Backing::Memory(bytes) => Some(bytes),
+            Backing::File { .. } => None,
+        }
+    }
+
+    /// The bytes: borrowed when they are in memory, otherwise read from
+    /// the file into `buf`, which is resized to fit them and can be reused
+    /// from call to call.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of reading the file; a file cut short since the
+    /// span was made is an [`io::ErrorKind::UnexpectedEof`].
+    pub fn read<'a>(&'a self, buf: &'a mut Vec<u8>) -> io::Result<&'a [u8]> {
+        match &self.0 {
+            Backing::Memory(bytes) => Ok(bytes),
+            Backing::File { file, offset, len } => {
+                // Grow to fit exactly: chunks differ by a few bytes, and
+                // the default doubling would hold twice the largest.
+                buf.reserve_exact(len.saturating_sub(buf.len()));
+                buf.resize(*len, 0);
+                file.read_exact_at(buf, *offset)?;
+                Ok(buf)
+            }
+        }
     }
 }
 
 impl From<Vec<u8>> for SharedBytes {
     fn from(bytes: Vec<u8>) -> Self {
-        let range = 0..bytes.len();
-        SharedBytes { buf: Arc::new(bytes), range }
+        SharedBytes(Backing::Memory(Arc::new(bytes)))
     }
 }
 
-impl Deref for SharedBytes {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.buf[self.range.clone()]
-    }
-}
-
+/// Equal when both hold the same bytes; a span whose file cannot be read
+/// equals nothing.
 impl PartialEq for SharedBytes {
     fn eq(&self, other: &Self) -> bool {
-        **self == **other
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        self.len() == other.len()
+            && matches!((self.read(&mut a), other.read(&mut b)), (Ok(x), Ok(y)) if x == y)
     }
 }
 
@@ -560,10 +748,103 @@ impl Eq for SharedBytes {}
 
 impl fmt::Debug for SharedBytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SharedBytes")
-            .field("len", &self.len())
-            .field("buffer_len", &self.buf.len())
-            .finish()
+        let mut d = f.debug_struct("SharedBytes");
+        d.field("len", &self.len());
+        if let Backing::File { offset, .. } = &self.0 {
+            d.field("file_offset", offset);
+        }
+        d.finish()
+    }
+}
+
+/// A binary-form input read from a file through a 64 KiB buffer: its
+/// tokens in memory, with every byte string's payload left out and kept
+/// as a span of the file instead. Read it with [`Deserializer::sparse`].
+#[derive(Debug)]
+pub struct SparseInput {
+    file: Arc<File>,
+    /// The input without its byte strings' payloads.
+    tokens: Vec<u8>,
+    /// `(offset, len)` of each byte string's payload, in input order.
+    spans: Vec<(u64, usize)>,
+}
+
+impl SparseInput {
+    /// Reads `file` from byte `start` to its end, once, handing every
+    /// byte read to `fold` in file order, so a caller can check the bytes
+    /// (a checksum) before any value is read from them.
+    ///
+    /// The scan follows the tokens only as far as it must to find each
+    /// byte string: a string's length prefix tells how many payload bytes
+    /// to skip. Nothing else is checked until a [`Deserializer::sparse`]
+    /// reads the tokens.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error`] if the file cannot be read, or a string or byte
+    /// string has a malformed length or runs past the end of the file.
+    pub fn read(file: Arc<File>, start: u64, fold: impl FnMut(&[u8])) -> Result<Self, Error> {
+        let read_err = |e: io::Error| Error::new(format!("reading the input: {e}"));
+        let mut r =
+            BufReader::with_capacity(BUFFER_BYTES, Folding { file: &file, offset: start, fold });
+        let (mut tokens, mut spans) = (Vec::new(), Vec::new());
+        let mut offset = start;
+        while let Some(&kind) = r.fill_buf().map_err(read_err)?.first() {
+            if kind.is_ascii_whitespace() {
+                tokens.push(kind);
+                r.consume(1);
+                offset += 1;
+                continue;
+            }
+            if kind != b's' && kind != b'x' {
+                // Any other token runs to the next space.
+                offset += r.read_until(b' ', &mut tokens).map_err(read_err)? as u64;
+                continue;
+            }
+            let head = tokens.len();
+            offset += r.read_until(b':', &mut tokens).map_err(read_err)? as u64;
+            let len = tokens
+                .strip_suffix(b":")
+                .and_then(|t| std::str::from_utf8(&t[head + 1..]).ok())
+                .and_then(|digits| digits.parse::<usize>().ok())
+                .ok_or_else(|| Error::new("malformed length prefix"))?;
+            let short = || Error::new(format!("payload of {len} bytes runs past the input"));
+            if kind == b's' {
+                let got = r.by_ref().take(len as u64).read_to_end(&mut tokens).map_err(read_err)?;
+                if got != len {
+                    return Err(short());
+                }
+            } else {
+                spans.push((offset, len));
+                let mut left = len;
+                while left > 0 {
+                    let n = r.fill_buf().map_err(read_err)?.len().min(left);
+                    if n == 0 {
+                        return Err(short());
+                    }
+                    r.consume(n);
+                    left -= n;
+                }
+            }
+            offset += len as u64;
+        }
+        Ok(SparseInput { file, tokens, spans })
+    }
+}
+
+/// Reads a file from an offset on, handing every byte read to `fold`.
+struct Folding<'f, F> {
+    file: &'f File,
+    offset: u64,
+    fold: F,
+}
+
+impl<F: FnMut(&[u8])> Read for Folding<'_, F> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.file.read_at(buf, self.offset)?;
+        self.offset += n as u64;
+        (self.fold)(&buf[..n]);
+        Ok(n)
     }
 }
 
@@ -917,26 +1198,124 @@ mod tests {
         assert!(d.end().is_ok());
     }
 
-    #[test]
-    fn shared_byte_strings_are_ranges_of_the_input() {
-        let wire = Arc::new(to_bytes(&(Blob(vec![1, 2, 3]), 7u64, Blob(vec![4; 9]))));
-        let mut d = Deserializer::shared(&wire);
-        let a = d.read_shared_bytes().unwrap();
-        assert_eq!(u64::deserialize(&mut d).unwrap(), 7);
-        let b = d.read_shared_bytes().unwrap();
-        assert!(d.end().is_ok());
-        assert_eq!((&a[..], &b[..]), (&[1, 2, 3][..], &[4; 9][..]));
-        for bytes in [&a, &b] {
-            assert!(Arc::ptr_eq(bytes.buffer(), &wire));
+    /// `bytes` in a fresh file under the temp directory, opened for
+    /// reading; the path is gone again when this returns.
+    fn file_of(name: &str, bytes: &[u8]) -> Arc<File> {
+        let path = std::env::temp_dir().join(format!("serde-shim-{}-{name}", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        let file = File::open(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        Arc::new(file)
+    }
+
+    /// A byte string read back as [`SharedBytes`].
+    struct Shared(SharedBytes);
+
+    impl Serialize for Shared {
+        fn serialize(&self, s: &mut Serializer) {
+            s.write_shared_bytes(&self.0);
         }
-        // Any other input copies; equality is by bytes either way.
+    }
+
+    impl<'de> Deserialize<'de> for Shared {
+        fn deserialize(d: &mut Deserializer<'de>) -> Result<Self, Error> {
+            Ok(Shared(d.read_shared_bytes()?))
+        }
+    }
+
+    #[test]
+    fn sparse_byte_strings_are_spans_of_the_file() {
+        let value = ((Blob(vec![1, 2, 3]), "x9: s1:a".to_owned()), 7u64, Blob(vec![4; 9]));
+        let wire = to_bytes(&value);
+        let mut file = b"header ".to_vec();
+        file.extend_from_slice(&wire);
+        let mut folded = Vec::new();
+        let input =
+            SparseInput::read(file_of("spans", &file), 7, |b| folded.extend_from_slice(b)).unwrap();
+        assert_eq!(folded, wire, "every byte after `start` is folded, once, in order");
+        assert!(input.tokens.len() < wire.len(), "payloads stay in the file");
+
+        let mut d = Deserializer::sparse(&input);
+        let a = d.read_shared_bytes().unwrap();
+        assert_eq!(String::deserialize(&mut d).unwrap(), value.0 .1);
+        assert_eq!(u64::deserialize(&mut d).unwrap(), 7);
+        let b = d.read_bytes().unwrap();
+        assert!(d.end().is_ok());
+        assert!(a.as_slice().is_none(), "a span of the file, not a copy");
+        let mut buf = Vec::new();
+        assert_eq!(a.read(&mut buf).unwrap(), [1, 2, 3]);
+        assert!(matches!(b, Cow::Owned(ref v) if *v == [4; 9]));
+        // Equality is by bytes, whatever holds them.
+        assert_eq!(a, SharedBytes::from(vec![1, 2, 3]));
+        assert_ne!(a, SharedBytes::from(vec![1, 2, 4]));
         let copied = Deserializer::binary(&wire).read_shared_bytes().unwrap();
-        assert!(!Arc::ptr_eq(copied.buffer(), &wire));
-        assert_eq!(copied, a);
-        let text = to_string(&Blob(a.to_vec()));
+        assert_eq!(copied.as_slice(), Some(&[1, 2, 3][..]));
+        let text = to_string(&Blob(vec![1, 2, 3]));
         assert_eq!(Deserializer::new(text.as_bytes()).read_shared_bytes().unwrap(), a);
-        assert_ne!(a, b);
-        assert!(Deserializer::shared(&Arc::new(b"x9:abc ".to_vec())).read_shared_bytes().is_err());
+        // A span serializes as the bytes it holds, in both forms.
+        assert_eq!(to_bytes(&Shared(a.clone())), to_bytes(&Blob(vec![1, 2, 3])));
+        assert_eq!(to_string(&Shared(a)), text);
+        // Sparse and in-memory reads of the same input agree.
+        let input = SparseInput::read(file_of("again", &wire), 0, |_| ()).unwrap();
+        let back: ((Blob, String), u64, Blob) = Deserializer::sparse(&input).read_all().unwrap();
+        assert_eq!(to_bytes(&back), wire);
+    }
+
+    #[test]
+    fn sparse_inputs_reject_every_truncation_and_bad_length() {
+        let wire = to_bytes(&(Blob(vec![7; 40]), "ab".to_owned(), 5u64));
+        for cut in 0..wire.len() - 1 {
+            let loaded = SparseInput::read(file_of("cut", &wire[..cut]), 0, |_| ())
+                .and_then(|input| Deserializer::sparse(&input).read_all::<(Blob, String, u64)>());
+            assert!(loaded.is_err(), "prefix {cut} parsed");
+        }
+        for bad in [&b"x9:abc "[..], b"x-1:abc ", b"x3abc", b"s9:ab "] {
+            assert!(SparseInput::read(file_of("bad", bad), 0, |_| ()).is_err(), "{bad:?}");
+        }
+    }
+
+    /// A writer that fails after `left` bytes.
+    struct Failing {
+        left: usize,
+    }
+
+    impl Write for Failing {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.left == 0 {
+                return Err(io::Error::other("full"));
+            }
+            let n = buf.len().min(self.left);
+            self.left -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn to_writer_writes_the_bytes_of_to_bytes() {
+        // More small tokens than the spill buffer holds, and byte strings
+        // both smaller and larger than it.
+        let many: Vec<u64> = (0..40_000).map(|i| i * 7919).collect();
+        let big: Vec<u8> = (0..3 * BUFFER_BYTES as u32).map(|i| (i % 251) as u8).collect();
+        let value = ((many, Blob(big.clone())), "tail".to_owned(), Blob(vec![b' '; 5]));
+        let mut out = Vec::new();
+        to_writer(&value, &mut out).unwrap();
+        assert_eq!(out, to_bytes(&value));
+
+        // A file-backed byte string streams from its file.
+        let wire = to_bytes(&Blob(big));
+        let input = SparseInput::read(file_of("stream", &wire), 0, |_| ()).unwrap();
+        let span = Shared(Deserializer::sparse(&input).read_shared_bytes().unwrap());
+        let mut out = Vec::new();
+        to_writer(&span, &mut out).unwrap();
+        assert_eq!(out, wire);
+
+        // A writer's error comes back; nothing is written past it.
+        assert!(to_writer(&value, Failing { left: 100 }).is_err());
+        assert!(to_writer(&value, Failing { left: 0 }).is_err());
     }
 
     #[test]

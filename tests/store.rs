@@ -7,10 +7,12 @@
 //! `vstress-repro --store` invocation does.
 
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
+use std::time::Duration;
 use vstress::codecs::{CodecId, EncoderParams};
 use vstress::exec::store::{checksum64, KIND_STREAM};
-use vstress::workbench::{CapturedEncode, RunSpec};
+use vstress::workbench::{CapturedEncode, CharacterizationRun, RunSpec};
 use vstress::{RunCache, RunStore};
 
 fn tmp_root(name: &str) -> PathBuf {
@@ -24,7 +26,7 @@ fn spec() -> RunSpec {
 }
 
 /// A cache with all process state dropped, reattached to `root`.
-fn fresh_cache(root: &PathBuf) -> RunCache {
+fn fresh_cache(root: &Path) -> RunCache {
     RunCache::with_store(Arc::new(RunStore::open(root).unwrap()))
 }
 
@@ -302,28 +304,106 @@ fn break_last_chunk(path: &Path) {
 }
 
 #[test]
-fn stored_stream_chunks_share_the_entry_buffer() {
-    let root = tmp_root("one-buffer");
+fn stored_stream_chunks_are_spans_of_the_entry_file() {
+    let root = tmp_root("file-spans");
     fresh_cache(&root).run(&spec()).unwrap();
     let path = stream_entry(&root);
     let data = std::fs::read(&path).unwrap();
-    let header: EntryHeader =
-        serde::Deserialize::deserialize(&mut serde::Deserializer::binary(&data)).unwrap();
+    let mut d = serde::Deserializer::binary(&data);
+    let header: EntryHeader = serde::Deserialize::deserialize(&mut d).unwrap();
+    let in_memory: CapturedEncode = serde::from_bytes(d.remaining()).unwrap();
 
     let store = RunStore::open(&root).unwrap();
     let cap: CapturedEncode = store.get(KIND_STREAM, &header.key).unwrap();
     let chunks = cap.stream.chunks();
     assert!(chunks.len() > 1, "{} chunks", chunks.len());
-    // Every chunk lies inside the one buffer the entry file was read into.
-    let buffer = chunks[0].buffer();
-    assert_eq!(buffer.len(), data.len(), "the buffer is the whole entry file");
-    let span = buffer.as_ptr_range();
-    for (i, chunk) in chunks.iter().enumerate() {
-        assert!(Arc::ptr_eq(chunk.buffer(), buffer), "chunk {i} has a buffer of its own");
-        let bytes = chunk.as_ptr_range();
-        assert!(span.start <= bytes.start && bytes.end <= span.end, "chunk {i} is outside it");
-    }
+    // No chunk is held in memory: each is read from the file when used,
+    // and holds the bytes the entry holds.
+    assert!(chunks.iter().all(|c| c.as_slice().is_none()), "a chunk was copied at load");
+    assert_eq!(cap, in_memory);
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Runs `test` on a thread of its own and fails it if it takes longer
+/// than `limit`: a replay wedged on a damaged entry file must fail the
+/// suite, not hang it.
+fn within(limit: Duration, test: impl FnOnce() + Send + 'static) {
+    let (done, finished) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        test();
+        let _ = done.send(());
+    });
+    if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(limit) {
+        panic!("the test took longer than {limit:?}");
+    }
+    if let Err(panic) = handle.join() {
+        std::panic::resume_unwind(panic);
+    }
+}
+
+/// Generous for a debug build on a busy machine; a wedged replay never
+/// ends.
+const TEST_LIMIT: Duration = Duration::from_secs(600);
+
+/// A stream-only store under `root` holding `spec()`'s capture, and the
+/// run a cold cache computes from it.
+fn stream_only_store(root: &Path) -> Arc<CharacterizationRun> {
+    let computed = fresh_cache(root).run(&spec()).unwrap();
+    let _ = std::fs::remove_dir_all(RunStore::open(root).unwrap().dir().join("run"));
+    computed
+}
+
+#[test]
+fn stream_entry_cut_short_after_load_is_quarantined_and_recaptured() {
+    let root = tmp_root("cut-after-load");
+    let computed = stream_only_store(&root);
+    let path = stream_entry(&root);
+    let pristine = std::fs::read(&path).unwrap();
+    within(TEST_LIMIT, move || {
+        let cache = fresh_cache(&root);
+        // The window's replay loads the stream and checks all of it; the
+        // capture stays in memory, its chunks spans of the entry file.
+        cache.branch_window(&spec(), 10_000).unwrap();
+        // Cut the entry file in place, under the loaded stream.
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(pristine.len() as u64 / 2).unwrap();
+        drop(file);
+
+        // The run's replay finds chunks the file no longer holds: the
+        // entry is quarantined and the stream recaptured, once.
+        let run = cache.run(&spec()).unwrap();
+        assert_eq!(*run, *computed, "the recapture must reproduce the run");
+        let s = cache.stats();
+        assert_eq!(s.store_quarantined, 1);
+        assert_eq!((s.store_hits, s.store_misses), (0, 3), "the stream lookup is not a hit");
+        assert_eq!((s.encodes, s.stream_captures), (1, 1), "the stream is recaptured once");
+        drop(cache);
+        assert_eq!(std::fs::read(&path).unwrap(), pristine, "the recapture is re-stored");
+        let _ = std::fs::remove_dir_all(&root);
+    });
+}
+
+#[test]
+fn stream_entry_renamed_over_after_load_keeps_serving_its_bytes() {
+    let root = tmp_root("renamed-after-load");
+    let computed = stream_only_store(&root);
+    let path = stream_entry(&root);
+    within(TEST_LIMIT, move || {
+        let cache = fresh_cache(&root);
+        cache.branch_window(&spec(), 10_000).unwrap();
+        // Replace the entry by rename, as a store write does: the open
+        // file keeps the bytes it was loaded from.
+        let other = path.with_extension("replacement");
+        std::fs::write(&other, b"not an entry").unwrap();
+        std::fs::rename(&other, &path).unwrap();
+
+        let run = cache.run(&spec()).unwrap();
+        assert_eq!(*run, *computed, "the loaded stream replays its original bytes");
+        let s = cache.stats();
+        assert_eq!(s.store_quarantined, 0);
+        assert_eq!((s.encodes, s.stream_captures), (0, 0), "nothing is recaptured");
+        let _ = std::fs::remove_dir_all(&root);
+    });
 }
 
 #[test]
