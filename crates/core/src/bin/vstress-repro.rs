@@ -15,8 +15,9 @@
 //! ```
 //!
 //! Every wanted experiment's run-cache requests run first, as one plan
-//! grouped by encode point that frees each event stream after its last
-//! use; the runners then only read memos and format tables.
+//! grouped by encode point, one pass over each point that keeps no event
+//! stream unless the store must write it; the runners then only read
+//! memos and format tables.
 //!
 //! With `--store DIR`, completed characterization runs (and branch
 //! windows / decode-cost pairs) persist under `DIR`, so an interrupted

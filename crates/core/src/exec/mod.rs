@@ -15,24 +15,32 @@
 //!   (capture once, simulate many).
 //! * **runs** — [`CharacterizationRun`]s keyed by everything that
 //!   determines them (clip, codec, params, fidelity, cache divisor,
-//!   pipeline on/off), derived by replaying the capture's stream
-//!   through a fresh core model — or, when the capture itself is being
-//!   recorded, by simulating chunks concurrently with the recording
-//!   encode over a bounded channel. Figures that share quality points
-//!   (Figs. 4–7 slice one sweep; Fig. 1/2a/2b share encodes; Table 2
-//!   shares the CRF-63 encodes with Fig. 8) never recompute an encode.
+//!   pipeline on/off), derived by feeding the capture's stream to a
+//!   fresh core model. Figures that share quality points (Figs. 4–7
+//!   slice one sweep; Fig. 1/2a/2b share encodes; Table 2 shares the
+//!   CRF-63 encodes with Fig. 8) never recompute an encode.
 //! * **clips** — synthesized vbench clips keyed by (name, fidelity).
-//! * **branch windows** — the CBP study's mid-run traces, sliced out of
+//! * **branch windows** — the CBP study's mid-run traces, cut out of
 //!   the capture's stream (keyed additionally by the window length), so
 //!   a CBP matrix re-run against a warm store performs zero encodes.
 //! * **encode/decode costs** — the decode-cost study's instruction
 //!   pairs; the encode side reads the capture's mix, the decode side
 //!   decodes the capture's bitstream.
 //!
-//! [`RunCache::run_plan`] runs a whole batch of [`Request`]s grouped
-//! by encode point and drops each capture as soon as its group is done,
-//! so a planned process holds only the streams its workers are using;
-//! without a plan, captures live as long as the cache.
+//! Every compute is one *pass* over an encode point: the stream
+//! consumers it needs — a core model per pipeline run, a branch window
+//! per window — are fed the same chunks together, on a consumer thread
+//! while the recording encode makes them (over a bounded channel), or
+//! in one replay of a capture held in memory or loaded from the store.
+//! [`RunCache::run_plan`] runs a whole batch of [`Request`]s as one
+//! pass per encode point, for every request the memos and the store do
+//! not already serve, and drops each capture when its group is done. A
+//! planned recording keeps no chunk after its consumers have it unless
+//! a store is attached, which needs the stream entry written, so a cold
+//! planned process holds no event stream and a store fill one per
+//! worker; the window is cut as the stream arrives. Without a plan,
+//! captures keep their streams and live as long as the cache, so later
+//! requests replay them.
 //!
 //! Attaching a persistent [`store::RunStore`] (see
 //! [`RunCache::with_store`]) extends the capture, run, window and cost
@@ -45,12 +53,13 @@
 //! store-served run never needs the clip at all.
 //!
 //! A stream loaded from the store is not decoded at load: its chunks
-//! stay in the entry file as spans, read at each replay, and the decode
-//! of its first full replay is the check. If that replay fails — or any
-//! later one finds the entry file cut short — the cache quarantines the
-//! `stream` entry, drops the capture from memory and records the encode
-//! afresh, once; the lookup counts as a store miss, as a quarantine at
-//! load would have.
+//! stay in the entry file as spans, read at each replay, and every
+//! replay reads the whole stream, so the replay that serves its load is
+//! its check. If a replay fails — a bad chunk, or an entry file cut
+//! short since the load — the cache quarantines the `stream` entry,
+//! drops the capture from memory and records the encode afresh, once;
+//! the lookup counts as a store miss, as a quarantine at load would
+//! have.
 //!
 //! Parallelism never changes results: each worker owns its probes and
 //! `CoreModel`, and every probed buffer carries a synthetic
@@ -64,12 +73,12 @@ pub mod store;
 pub use store::{DiskUsage, KindUsage, RunStore, StoreStats, SCHEMA_VERSION};
 
 use crate::workbench::{
-    capture_encode_with, run_from_parts, try_characterize_from_capture, CapturedEncode,
-    CharacterizationRun, RunSpec, WorkbenchError,
+    capture_encode_into, run_from_parts, CapturedEncode, CharacterizationRun, RunSpec,
+    WorkbenchError,
 };
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use store::{KIND_COST, KIND_RUN, KIND_STREAM, KIND_WINDOW};
 use vstress_codecs::batch::run_ordered;
@@ -77,7 +86,8 @@ use vstress_codecs::{CodecId, Decoder, EncoderParams};
 use vstress_pipeline::CoreModel;
 use vstress_trace::stream::chunk_channel;
 use vstress_trace::{
-    BranchRecord, BranchWindowProbe, ChunkDecoder, ChunkTx, CountingProbe, StreamError,
+    BranchRecord, BranchWindowProbe, ChunkDecoder, CountingProbe, SharedBytes, StreamError,
+    StreamRecorder,
 };
 use vstress_video::vbench::FidelityConfig;
 use vstress_video::Clip;
@@ -122,6 +132,11 @@ impl RunKey {
         }
     }
 
+    /// Stable key text for the persistent store's cost layer.
+    fn cost_text(&self) -> String {
+        format!("{}|cost", self.store_text())
+    }
+
     /// Stable, human-readable key text for the persistent store. Any
     /// change here must come with a [`SCHEMA_VERSION`] bump.
     fn store_text(&self) -> String {
@@ -158,6 +173,16 @@ struct WindowKey {
 }
 
 impl WindowKey {
+    fn of(spec: &RunSpec, window: u64) -> Self {
+        WindowKey {
+            clip: spec.clip,
+            codec: spec.codec,
+            params: spec.params,
+            fidelity: fidelity_key(&spec.fidelity),
+            window,
+        }
+    }
+
     /// Stable key text for the persistent store's window layer.
     fn store_text(&self) -> String {
         format!(
@@ -261,17 +286,13 @@ pub struct EncodeDecodeCost {
     pub decode_instructions: u64,
 }
 
-/// A memoized captured encode, and what is known of its stream.
+/// A captured encode the cache holds, and where its stream came from.
 struct Capture {
     encode: CapturedEncode,
     /// Loaded from the store: the stream's chunks are spans of the entry
     /// file, read at every replay. Only such a stream can fail to replay,
     /// at any replay, and its failure is the store's fault.
     stored: bool,
-    /// Loaded from the store and not yet replayed in full. The flag
-    /// guards no other data (the capture is immutable), so relaxed
-    /// accesses do: a stale `true` costs one more full replay.
-    unchecked: AtomicBool,
 }
 
 impl std::ops::Deref for Capture {
@@ -279,12 +300,6 @@ impl std::ops::Deref for Capture {
 
     fn deref(&self) -> &CapturedEncode {
         &self.encode
-    }
-}
-
-impl Capture {
-    fn is_unchecked(&self) -> bool {
-        self.unchecked.load(Ordering::Relaxed)
     }
 }
 
@@ -339,6 +354,14 @@ fn memo<K: Eq + Hash + Clone, V>(
     }
 }
 
+/// The value memoized under `key`, if there is one (once an in-flight
+/// compute of it has ended).
+fn held<K: Eq + Hash, V>(map: &Mutex<HashMap<K, Slot<V>>>, key: &K) -> Option<Arc<V>> {
+    let slot = lock_unpoisoned(map).get(key).cloned()?;
+    let value = lock_unpoisoned(&slot).clone();
+    value
+}
+
 /// One result a runner will ask the cache for — the unit of a plan
 /// (see [`RunCache::run_plan`]).
 #[derive(Debug, Clone)]
@@ -359,21 +382,160 @@ impl Request {
         }
     }
 
-    /// Computes (or looks up) the requested result, discarding it: the
-    /// memo keeps it for the runner that asks next.
-    fn fill(&self, cache: &RunCache) -> Result<(), WorkbenchError> {
-        match self {
-            Request::Run(spec) => cache.run(spec).map(drop),
-            Request::Window(spec, window) => cache.branch_window(spec, *window).map(drop),
-            Request::Cost(spec) => cache.encode_decode_cost(spec).map(drop),
+    /// Whether `other` asks for the very result this request does.
+    fn same_result(&self, other: &Request) -> bool {
+        match (self, other) {
+            (Request::Run(a), Request::Run(b)) | (Request::Cost(a), Request::Cost(b)) => {
+                RunKey::of(a) == RunKey::of(b)
+            }
+            (Request::Window(a, wa), Request::Window(b, wb)) => {
+                WindowKey::of(a, *wa) == WindowKey::of(b, *wb)
+            }
+            _ => false,
+        }
+    }
+}
+
+/// The stream consumers of one pass over an encode point: a core model
+/// per pipeline run (by its cache divisor) and a branch window per window
+/// request (by its length), in request order. Counting runs and costs read
+/// no stream.
+#[derive(Debug, Default)]
+struct Consumers {
+    divisors: Vec<usize>,
+    windows: Vec<u64>,
+}
+
+impl Consumers {
+    fn of<'a>(requests: impl IntoIterator<Item = &'a Request>) -> Self {
+        let mut consumers = Consumers::default();
+        for request in requests {
+            match request {
+                Request::Run(spec) if spec.model_pipeline => {
+                    consumers.divisors.push(spec.cache_divisor);
+                }
+                Request::Window(_, window) => consumers.windows.push(*window),
+                Request::Run(_) | Request::Cost(_) => {}
+            }
+        }
+        consumers
+    }
+
+    fn is_empty(&self) -> bool {
+        self.divisors.is_empty() && self.windows.is_empty()
+    }
+
+    /// Fresh consumers, about to be fed. The windows are centred on a
+    /// stream of `total` instructions or, given `None` for a stream still
+    /// being recorded, on every instruction they will have seen.
+    fn feeding(&self, total: Option<u64>) -> Feeding {
+        let core = |&d: &usize| (CoreModel::broadwell_scaled(d), ChunkDecoder::new());
+        let window = |&w: &u64| {
+            let probe = match total {
+                Some(total) => BranchWindowProbe::mid_run(total, w),
+                None => BranchWindowProbe::centered(w),
+            };
+            (probe, ChunkDecoder::new())
+        };
+        Feeding {
+            cores: self.divisors.iter().map(core).collect(),
+            windows: self.windows.iter().map(window).collect(),
         }
     }
 
-    /// A pipeline run: the one request whose recording encode overlaps
-    /// the core model, so a group runs it first.
-    fn is_pipeline_run(&self) -> bool {
-        matches!(self, Request::Run(spec) if spec.model_pipeline)
+    /// Fresh consumers fed `cap`'s whole stream.
+    fn replay(&self, cap: &CapturedEncode) -> Result<Fed, StreamError> {
+        let mut feeding = self.feeding(Some(cap.mix.total()));
+        for chunk in cap.stream.chunks() {
+            feeding.feed(chunk)?;
+        }
+        feeding.finish(cap.stream.events())
     }
+}
+
+/// The consumers of a pass while its stream is fed. Each decodes every
+/// chunk in a decode loop of its own: one loop fanning each event out to
+/// them all runs the core model, most of a pass's time, measurably
+/// slower than the model's own loop. A core model reads the whole stream,
+/// which checks it, so beside one a window stops reading once complete.
+struct Feeding {
+    cores: Vec<(CoreModel, ChunkDecoder)>,
+    windows: Vec<(BranchWindowProbe, ChunkDecoder)>,
+}
+
+impl Feeding {
+    fn feed(&mut self, chunk: &SharedBytes) -> Result<(), StreamError> {
+        for (core, decoder) in &mut self.cores {
+            decoder.decode(chunk, core)?;
+        }
+        let checked = !self.cores.is_empty();
+        for (window, decoder) in &mut self.windows {
+            if !(checked && window.is_complete()) {
+                decoder.decode(chunk, window)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The consumers, once the stream has been checked to hold `events`
+    /// events: by every core model's decoder, or with none, by every
+    /// window's.
+    fn finish(self, events: u64) -> Result<Fed, StreamError> {
+        let checked = !self.cores.is_empty();
+        let cores: Vec<CoreModel> = self
+            .cores
+            .into_iter()
+            .map(|(core, decoder)| decoder.finish(events).map(|()| core))
+            .collect::<Result<_, _>>()?;
+        let mut windows = Vec::with_capacity(self.windows.len());
+        for (window, decoder) in self.windows {
+            if !checked {
+                decoder.finish(events)?;
+            }
+            windows.push(window);
+        }
+        Ok(Fed { cores: cores.into_iter(), windows: windows.into_iter() })
+    }
+}
+
+/// The consumers of a pass, fed its whole stream, handed out in request
+/// order.
+struct Fed {
+    cores: std::vec::IntoIter<CoreModel>,
+    windows: std::vec::IntoIter<BranchWindowProbe>,
+}
+
+impl Fed {
+    /// The run of `spec` from its capture `cap`: a pipeline run takes the
+    /// next core model, a counting run an untouched one.
+    fn run(&mut self, spec: &RunSpec, cap: &CapturedEncode) -> CharacterizationRun {
+        let fed = if spec.model_pipeline { self.cores.next() } else { None };
+        run_from_parts(
+            spec,
+            cap,
+            fed.unwrap_or_else(|| CoreModel::broadwell_scaled(spec.cache_divisor)),
+        )
+    }
+
+    /// The next window.
+    fn window(&mut self) -> BranchWindow {
+        let probe = self.windows.next().expect("a window probe per window request");
+        BranchWindow {
+            instructions: probe.window_retired().max(1),
+            records: probe.into_records().into(),
+        }
+    }
+}
+
+/// The decode-cost study's measurement of `cap`: its mix total, and the
+/// instructions decoding its bitstream retires.
+fn cost_of(cap: &CapturedEncode) -> Result<EncodeDecodeCost, WorkbenchError> {
+    let mut decode = CountingProbe::new();
+    Decoder::new().decode(&cap.bitstream, &mut decode)?;
+    Ok(EncodeDecodeCost {
+        encode_instructions: cap.mix.total(),
+        decode_instructions: decode.mix().total(),
+    })
 }
 
 /// Hit/miss counters for the cache layers and the optional persistent
@@ -543,71 +705,135 @@ impl RunCache {
         })
     }
 
-    /// The shared captured encode for `spec`'s (clip, codec, params,
-    /// fidelity) point — recorded at most once per key and persisted in
-    /// the store's `stream` layer. `sink`, used only when this call
-    /// ends up performing the recording encode, streams chunks to a
-    /// concurrent consumer as they fill.
-    fn capture(
+    /// One pass over `spec`'s encode point: its capture (for the mix,
+    /// profile and bitstream) and `consumers` fed the whole stream.
+    ///
+    /// A capture the memo holds, or one loaded from the store, is replayed
+    /// into the consumers. Otherwise the encode is recorded, and a consumer
+    /// thread feeds them each chunk while the encode makes the next. When
+    /// `memoize`, a capture this makes goes into the memo, for later
+    /// requests to replay; otherwise it is the caller's alone.
+    ///
+    /// When a stored stream fails to replay — a bad chunk, or one its entry
+    /// file can no longer supply — its entry is quarantined, the capture is
+    /// dropped from the memo and the encode is recorded afresh, once; any
+    /// other replay failure is an error.
+    fn pass(
         &self,
         spec: &RunSpec,
-        sink: Option<ChunkTx>,
-    ) -> Result<Arc<Capture>, WorkbenchError> {
+        consumers: &Consumers,
+        memoize: bool,
+    ) -> Result<(Arc<Capture>, Fed), WorkbenchError> {
         let key = CaptureKey::of(spec);
-        memo(&self.captures, &self.capture_hits, &self.capture_misses, key, || {
-            let stored = self.store.as_ref().and_then(|s| s.get(KIND_STREAM, &key.store_text()));
-            match stored {
-                Some(encode) => {
-                    Ok(Capture { encode, stored: true, unchecked: AtomicBool::new(true) })
-                }
-                None => self.record(spec, sink),
-            }
-        })
+        let (cap, fed) =
+            self.obtain(key, memoize, || self.load_or_record(spec, consumers, memoize))?;
+        let why = match fed.map_or_else(|| consumers.replay(&cap), Ok) {
+            Ok(fed) => return Ok((cap, fed)),
+            Err(why) if cap.stored => why,
+            Err(why) => return Err(why.into()),
+        };
+        self.reject_capture(&key, &cap, &why);
+        drop(cap);
+        let (cap, fed) = self.obtain(key, memoize, || self.record(spec, consumers, memoize))?;
+        // Unless a racing request recorded it first: a recording replays.
+        let fed = fed.map_or_else(|| consumers.replay(&cap), Ok)?;
+        Ok((cap, fed))
     }
 
-    /// Performs the recording encode of `spec`'s point and writes the
-    /// capture to the store.
-    fn record(&self, spec: &RunSpec, sink: Option<ChunkTx>) -> Result<Capture, WorkbenchError> {
+    /// The capture of `key`: the memo's, or else what `make` makes, which
+    /// goes into the memo when `memoize` and is the caller's alone
+    /// otherwise. Also returns the consumers `make` fed, if it ran.
+    fn obtain(
+        &self,
+        key: CaptureKey,
+        memoize: bool,
+        make: impl FnOnce() -> Result<(Capture, Fed), WorkbenchError>,
+    ) -> Result<(Arc<Capture>, Option<Fed>), WorkbenchError> {
+        let mut fed = None;
+        let made = || {
+            let (cap, consumers) = make()?;
+            fed = Some(consumers);
+            Ok(cap)
+        };
+        let cap = if memoize {
+            memo(&self.captures, &self.capture_hits, &self.capture_misses, key, made)?
+        } else if let Some(cap) = held(&self.captures, &key) {
+            self.capture_hits.fetch_add(1, Ordering::Relaxed);
+            cap
+        } else {
+            self.capture_misses.fetch_add(1, Ordering::Relaxed);
+            Arc::new(made()?)
+        };
+        Ok((cap, fed))
+    }
+
+    /// Loads `spec`'s capture from the store and replays it into
+    /// `consumers`, the check of its stream; or, when the store holds none
+    /// that replays, records it.
+    fn load_or_record(
+        &self,
+        spec: &RunSpec,
+        consumers: &Consumers,
+        memoize: bool,
+    ) -> Result<(Capture, Fed), WorkbenchError> {
+        if let Some(store) = &self.store {
+            let key_text = CaptureKey::of(spec).store_text();
+            if let Some(encode) = store.get::<CapturedEncode>(KIND_STREAM, &key_text) {
+                match consumers.replay(&encode) {
+                    Ok(fed) => return Ok((Capture { encode, stored: true }, fed)),
+                    Err(why) => store.reject(KIND_STREAM, &key_text, &why),
+                }
+            }
+        }
+        self.record(spec, consumers, memoize)
+    }
+
+    /// Performs the recording encode of `spec`'s point, feeding
+    /// `consumers` each chunk on a consumer thread as the recorder flushes
+    /// it, and writes the capture to the store. The recorder keeps its
+    /// chunks only for a later reader: the store's entry, or, when
+    /// `memoize`, later replays of the memoized capture.
+    fn record(
+        &self,
+        spec: &RunSpec,
+        consumers: &Consumers,
+        memoize: bool,
+    ) -> Result<(Capture, Fed), WorkbenchError> {
         let clip = self.clip(spec.clip, &spec.fidelity)?;
         self.encodes.fetch_add(1, Ordering::Relaxed);
         self.stream_captures.fetch_add(1, Ordering::Relaxed);
-        let encode = capture_encode_with(spec, &clip, sink)?;
+        let keep = memoize || self.store.is_some();
+        let (encode, fed) = if consumers.is_empty() {
+            let rec = StreamRecorder::new().keep_chunks(keep);
+            (capture_encode_into(spec, &clip, rec)?, consumers.feeding(None).finish(0)?)
+        } else {
+            let (encode, fed) = std::thread::scope(|scope| {
+                let (tx, rx) = chunk_channel(CAPTURE_CHANNEL_CHUNKS);
+                let consumer = scope.spawn(move || {
+                    let mut feeding = consumers.feeding(None);
+                    // Stopping at an error drops the receiver, which lets
+                    // the recording run to its end.
+                    std::iter::from_fn(|| rx.recv())
+                        .try_for_each(|chunk| feeding.feed(&chunk))
+                        .map(|()| feeding)
+                });
+                let rec = StreamRecorder::with_sink(tx).keep_chunks(keep);
+                let encode = capture_encode_into(spec, &clip, rec);
+                match consumer.join() {
+                    Ok(fed) => (encode, fed),
+                    Err(p) => std::panic::resume_unwind(p),
+                }
+            });
+            let encode = encode?;
+            // The consumers have decoded exactly this recording; that fails
+            // only on a recorder bug.
+            let fed = fed?.finish(encode.stream.events())?;
+            (encode, fed)
+        };
         if let Some(store) = &self.store {
             store.put(KIND_STREAM, &CaptureKey::of(spec).store_text(), &encode);
         }
-        Ok(Capture { encode, stored: false, unchecked: AtomicBool::new(false) })
-    }
-
-    /// Runs `replay` over `cap`, the capture of `spec`; given an
-    /// unchecked capture, `replay` must decode the whole stream. When a
-    /// stream loaded from the store fails to replay — at its first replay
-    /// a bad chunk, at any replay a chunk its entry file can no longer
-    /// supply — its entry is quarantined, the capture is dropped from
-    /// memory and the encode is recorded afresh, once; any other replay
-    /// failure is an error.
-    fn replay_capture<T>(
-        &self,
-        spec: &RunSpec,
-        cap: Arc<Capture>,
-        replay: impl Fn(&Capture) -> Result<T, StreamError>,
-    ) -> Result<T, WorkbenchError> {
-        match replay(&cap) {
-            Ok(v) => {
-                cap.unchecked.store(false, Ordering::Relaxed);
-                Ok(v)
-            }
-            Err(why) if cap.stored => {
-                let key = CaptureKey::of(spec);
-                self.reject_capture(&key, &cap, &why);
-                drop(cap);
-                let fresh =
-                    memo(&self.captures, &self.capture_hits, &self.capture_misses, key, || {
-                        self.record(spec, None)
-                    })?;
-                Ok(replay(&fresh)?)
-            }
-            Err(why) => Err(why.into()),
-        }
+        Ok((Capture { encode, stored: false }, fed))
     }
 
     /// Drops `cap` from the memo and quarantines its store entry — unless
@@ -632,7 +858,8 @@ impl RunCache {
     /// The characterization of `spec`, derived from the shared capture
     /// of its encode point — encoding only on the first request for
     /// that point, or never, when the persistent store already holds
-    /// the run or its stream.
+    /// the run or its stream. A pipeline run feeds the core model the
+    /// capture's stream as the encode records it, or replays it.
     ///
     /// # Errors
     ///
@@ -640,64 +867,18 @@ impl RunCache {
     pub fn run(&self, spec: &RunSpec) -> Result<Arc<CharacterizationRun>, WorkbenchError> {
         let key = RunKey::of(spec);
         memo(&self.runs, &self.run_hits, &self.run_misses, key, || {
-            self.through_store(KIND_RUN, &key.store_text(), || self.run_via_capture(spec))
+            self.through_store(KIND_RUN, &key.store_text(), || {
+                let consumers = Consumers::of([&Request::Run(spec.clone())]);
+                let (cap, mut fed) = self.pass(spec, &consumers, true)?;
+                Ok(fed.run(spec, &cap))
+            })
         })
-    }
-
-    /// Computes a characterization from the spec's shared capture. For
-    /// pipeline specs whose capture is not yet available, the recording
-    /// encode and the core-model simulation overlap: the recorder's
-    /// sink hands each ~1 MiB chunk to a consumer thread over a bounded
-    /// channel while the encode keeps producing the next one. If the
-    /// capture turns out to be served from memory or the store instead
-    /// (nothing flowed through the channel), the stream is replayed
-    /// serially.
-    fn run_via_capture(&self, spec: &RunSpec) -> Result<CharacterizationRun, WorkbenchError> {
-        if !spec.model_pipeline {
-            // Counting-only: the run reads the capture's mix, not its stream.
-            let cap = self.capture(spec, None)?;
-            return Ok(run_from_parts(spec, &cap, CoreModel::broadwell_scaled(spec.cache_divisor)));
-        }
-        let (cap, fed) = std::thread::scope(|scope| {
-            let (tx, rx) = chunk_channel(CAPTURE_CHANNEL_CHUNKS);
-            let divisor = spec.cache_divisor;
-            let consumer = scope.spawn(move || {
-                let mut core = CoreModel::broadwell_scaled(divisor);
-                let mut decoder = ChunkDecoder::new();
-                // Stopping at an error drops the receiver, which lets the
-                // recording run to its end.
-                let decoded = std::iter::from_fn(|| rx.recv())
-                    .try_for_each(|chunk| decoder.decode(&chunk, &mut core));
-                (core, decoder, decoded)
-            });
-            let cap = self.capture(spec, Some(tx));
-            // The sink is dropped even on a memo/store hit (the unused
-            // closure owns it), so the consumer always drains and joins.
-            match consumer.join() {
-                Ok(fed) => (cap, fed),
-                Err(p) => std::panic::resume_unwind(p),
-            }
-        });
-        let cap = cap?;
-        let (core, decoder, decoded) = fed;
-        if decoder.chunks() > 0 || decoded.is_err() {
-            // Our sink fed the recording, so the consumer's core has
-            // simulated exactly this stream; it fails only on a recorder
-            // bug.
-            decoded?;
-            decoder.finish(cap.stream.events())?;
-            return Ok(run_from_parts(spec, &cap, core));
-        }
-        // The capture came from elsewhere (memory or store) and the
-        // channel stayed empty; replay its stream serially.
-        self.replay_capture(spec, cap, |cap| try_characterize_from_capture(spec, cap))
     }
 
     /// The CBP study's mid-run branch window for one encode
     /// configuration: a centered window of at most `window` instructions
-    /// sliced out of the shared capture's event stream — no dedicated
+    /// cut out of the shared capture's event stream — no dedicated
     /// encode pass, and zero encodes when the stream is store-served.
-    /// The replay stops at the chunk that completes the window.
     ///
     /// # Errors
     ///
@@ -707,32 +888,12 @@ impl RunCache {
         spec: &RunSpec,
         window: u64,
     ) -> Result<Arc<BranchWindow>, WorkbenchError> {
-        let key = WindowKey {
-            clip: spec.clip,
-            codec: spec.codec,
-            params: spec.params,
-            fidelity: fidelity_key(&spec.fidelity),
-            window,
-        };
+        let key = WindowKey::of(spec, window);
         memo(&self.windows, &self.window_hits, &self.window_misses, key, || {
             self.through_store(KIND_WINDOW, &key.store_text(), || {
-                let cap = self.capture(spec, None)?;
-                self.replay_capture(spec, cap, |cap| {
-                    let total = cap.mix.total();
-                    let mut probe = BranchWindowProbe::mid_run(total, window.min(total));
-                    // A stored stream's first replay reads it whole: that
-                    // decode is its check. Otherwise the probe ignores
-                    // every event past the window, so the replay stops
-                    // after the chunk that completes it and reads no
-                    // chunk beyond.
-                    let whole = cap.is_unchecked();
-                    cap.stream.try_replay_until(&mut probe, |p| !whole && p.is_complete())?;
-                    let captured = probe.window_retired().max(1);
-                    Ok(BranchWindow {
-                        records: probe.into_records().into(),
-                        instructions: captured,
-                    })
-                })
+                let consumers = Consumers { windows: vec![window], ..Consumers::default() };
+                let (_, mut fed) = self.pass(spec, &consumers, true)?;
+                Ok(fed.window())
             })
         })
     }
@@ -751,31 +912,31 @@ impl RunCache {
     ) -> Result<Arc<EncodeDecodeCost>, WorkbenchError> {
         let key = RunKey::of(spec);
         memo(&self.costs, &self.cost_hits, &self.cost_misses, key, || {
-            self.through_store(KIND_COST, &format!("{}|cost", key.store_text()), || {
-                let cap = self.capture(spec, None)?;
-                let mut pd = CountingProbe::new();
-                Decoder::new().decode(&cap.bitstream, &mut pd)?;
-                Ok(EncodeDecodeCost {
-                    encode_instructions: cap.mix.total(),
-                    decode_instructions: pd.mix().total(),
-                })
+            self.through_store(KIND_COST, &key.cost_text(), || {
+                let (cap, _) = self.pass(spec, &Consumers::default(), true)?;
+                cost_of(&cap)
             })
         })
     }
 
     /// Computes every request of `plan` into the run, window and cost
-    /// memos, one encode point at a time, so runners asking afterwards
-    /// only hit memos.
+    /// memos (and the store), so runners asking afterwards only hit
+    /// memos.
     ///
     /// Requests are grouped by encode point (the capture they read) in
     /// first-use order, and the groups run on up to `threads` workers.
-    /// A group runs its pipeline runs first — so a recording encode
-    /// still overlaps the core model — then its counting runs, windows
-    /// and costs, and then drops its capture from memory: a planned
-    /// process holds at most one stream per worker instead of every
-    /// stream it ever touched. A capture a later request still needs is
-    /// reloaded from the store or re-encoded, so a plan must list every
-    /// request of an encode point.
+    /// A group skips the requests the memos or the store already serve
+    /// and computes the rest in one pass over its encode point: the core
+    /// model of every pipeline run and the branch window of every window
+    /// request are fed the same chunks, as the encode records them, or in
+    /// one replay of a stream held in memory or loaded from the store;
+    /// counting runs and costs read the capture's mix, profile and
+    /// bitstream. A recording keeps no chunk after its consumers have it
+    /// unless a store is attached, which needs the stream entry written,
+    /// and the group drops its capture when it is done: a cold planned
+    /// process holds no event stream, and a store fill one per worker. A
+    /// capture a later request still needs is reloaded from the store or
+    /// re-encoded, so a plan must list every request of an encode point.
     ///
     /// # Errors
     ///
@@ -795,26 +956,108 @@ impl RunCache {
             });
             groups[g].push(request);
         }
-        for group in &mut groups {
-            // Stable: pipeline runs first, the rest in plan order.
-            group.sort_by_key(|r| !r.is_pipeline_run());
-        }
-        run_ordered(groups.len(), threads, |g| {
-            let group = &groups[g];
-            let filled = group.iter().try_for_each(|r| r.fill(self));
-            self.evict_capture(&CaptureKey::of(group[0].spec()));
-            filled
-        })?;
+        run_ordered(groups.len(), threads, |g| self.fill_group(&groups[g]))?;
         Ok(())
     }
 
-    /// Drops the capture of `key` from the memo, counting it if one was
-    /// held.
-    fn evict_capture(&self, key: &CaptureKey) {
-        let Some(slot) = lock_unpoisoned(&self.captures).remove(key) else { return };
-        let held = lock_unpoisoned(&slot).is_some();
-        if held {
-            self.captures_evicted.fetch_add(1, Ordering::Relaxed);
+    /// Computes the requests of one encode point's `group` that neither
+    /// the memos nor the store serve, in one pass, into the memos and the
+    /// store, and drops the capture.
+    fn fill_group(&self, group: &[&Request]) -> Result<(), WorkbenchError> {
+        let mut needed: Vec<&Request> = Vec::new();
+        for &request in group {
+            if !needed.iter().any(|n| n.same_result(request)) && !self.served(request) {
+                needed.push(request);
+            }
+        }
+        let Some(first) = needed.first() else { return Ok(()) };
+        let spec = first.spec();
+        let passed = self.pass(spec, &Consumers::of(needed.iter().copied()), false);
+        // The pass replayed any capture the memo held; drop it too.
+        lock_unpoisoned(&self.captures).remove(&CaptureKey::of(spec));
+        let (cap, mut fed) = passed?;
+        for request in needed {
+            match request {
+                Request::Run(spec) => {
+                    let key = RunKey::of(spec);
+                    let run = fed.run(spec, &cap);
+                    self.write_back(KIND_RUN, &key.store_text(), &run);
+                    memo(&self.runs, &self.run_hits, &self.run_misses, key, || Ok(run))?;
+                }
+                Request::Window(spec, window) => {
+                    let key = WindowKey::of(spec, *window);
+                    let window = fed.window();
+                    self.write_back(KIND_WINDOW, &key.store_text(), &window);
+                    memo(&self.windows, &self.window_hits, &self.window_misses, key, || {
+                        Ok(window)
+                    })?;
+                }
+                Request::Cost(spec) => {
+                    let key = RunKey::of(spec);
+                    let cost = cost_of(&cap)?;
+                    self.write_back(KIND_COST, &key.cost_text(), &cost);
+                    memo(&self.costs, &self.cost_hits, &self.cost_misses, key, || Ok(cost))?;
+                }
+            }
+        }
+        self.captures_evicted.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Whether the memos hold `request`'s result, or the store does — in
+    /// which case this loads it into its memo.
+    fn served(&self, request: &Request) -> bool {
+        match request {
+            Request::Run(spec) => {
+                let key = RunKey::of(spec);
+                let text = key.store_text();
+                self.served_by(&self.runs, &self.run_hits, &self.run_misses, key, KIND_RUN, &text)
+            }
+            Request::Window(spec, window) => {
+                let key = WindowKey::of(spec, *window);
+                let text = key.store_text();
+                let (hits, misses) = (&self.window_hits, &self.window_misses);
+                self.served_by(&self.windows, hits, misses, key, KIND_WINDOW, &text)
+            }
+            Request::Cost(spec) => {
+                let key = RunKey::of(spec);
+                let text = key.cost_text();
+                self.served_by(
+                    &self.costs,
+                    &self.cost_hits,
+                    &self.cost_misses,
+                    key,
+                    KIND_COST,
+                    &text,
+                )
+            }
+        }
+    }
+
+    /// [`RunCache::served`] for one memo layer and its store kind.
+    fn served_by<K: Eq + Hash + Clone, V: for<'de> serde::Deserialize<'de>>(
+        &self,
+        map: &Mutex<HashMap<K, Slot<V>>>,
+        hits: &AtomicU64,
+        misses: &AtomicU64,
+        key: K,
+        kind: &str,
+        key_text: &str,
+    ) -> bool {
+        if held(map, &key).is_some() {
+            hits.fetch_add(1, Ordering::Relaxed);
+            return true;
+        }
+        match self.store.as_ref().and_then(|s| s.get::<V>(kind, key_text)) {
+            Some(v) => memo(map, hits, misses, key, || Ok(v)).is_ok(),
+            None => false,
+        }
+    }
+
+    /// Writes a computed result to the store, if one is attached.
+    fn write_back<V: serde::Serialize>(&self, kind: &str, key_text: &str, v: &V) {
+        if let Some(store) = &self.store {
+            store.put(kind, key_text, v);
         }
     }
 }
@@ -968,20 +1211,26 @@ mod tests {
     }
 
     #[test]
-    fn window_replay_stops_early_without_changing_the_window() {
+    fn a_window_cut_live_or_from_a_replay_equals_a_full_replay_window() {
         let spec = RunSpec::quick("cat", CodecId::SvtAv1, EncoderParams::new(35, 6));
-        let cache = RunCache::new();
-        let cap = cache.capture(&spec, None).unwrap();
-        let chunks = cap.stream.chunks().len();
-        assert!(chunks > 2, "{chunks} chunks: too few to stop early");
+        let cap = crate::workbench::capture_encode(&spec).unwrap();
         let total = cap.mix.total();
-        for window in [1_000, total / 3, total] {
-            let mut full = BranchWindowProbe::mid_run(total, window.min(total));
+        // A cache whose memo holds the capture replays it; a fresh one
+        // cuts the window from the recording as it arrives.
+        let warm = RunCache::new();
+        warm.run(&spec.clone().counting_only()).unwrap();
+        for window in [1_000, 40_001, total / 3, total, total + 1] {
+            let mut full = BranchWindowProbe::mid_run(total, window);
             cap.stream.replay(&mut full);
-            let early = cache.branch_window(&spec, window).unwrap();
-            assert_eq!(early.instructions, full.window_retired().max(1), "window {window}");
-            assert_eq!(&early.records[..], full.records(), "window {window}");
+            let full = BranchWindow {
+                records: full.records().into(),
+                instructions: full.window_retired().max(1),
+            };
+            let live = RunCache::new().branch_window(&spec, window).unwrap();
+            assert_eq!(*live, full, "window {window}, cut live");
+            assert_eq!(*warm.branch_window(&spec, window).unwrap(), full, "window {window}");
         }
+        assert_eq!(warm.stats().encodes, 1, "the warm windows are replays");
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! Each runner builds its spec list with a public `*_specs` function.
 //! [`EXPERIMENTS`] pairs every runner with the [`Request`]s those specs
 //! make of the run cache, and [`plan`] collects them, so a caller can
-//! compute everything up front with [`RunCache::run_plan`] — which
-//! frees each event stream after its last use — and then run the
+//! compute everything up front with [`RunCache::run_plan`] — one pass
+//! over each encode point, keeping no event stream — and then run the
 //! runners against warm memos. A runner called without a plan computes
 //! what it needs itself.
 

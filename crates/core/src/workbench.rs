@@ -265,11 +265,21 @@ pub fn capture_encode_with(
     clip: &Clip,
     sink: Option<ChunkTx>,
 ) -> Result<CapturedEncode, WorkbenchError> {
-    let encoder = Encoder::new(spec.codec, spec.params)?;
-    let mut rec = match sink {
+    let rec = match sink {
         Some(tx) => StreamRecorder::with_sink(tx),
         None => StreamRecorder::new(),
     };
+    capture_encode_into(spec, clip, rec)
+}
+
+/// [`capture_encode_with`] through the recorder `rec`, which may keep no
+/// chunks: the capture's stream then has its event count but no chunks.
+pub(crate) fn capture_encode_into(
+    spec: &RunSpec,
+    clip: &Clip,
+    mut rec: StreamRecorder,
+) -> Result<CapturedEncode, WorkbenchError> {
+    let encoder = Encoder::new(spec.codec, spec.params)?;
     let out = encoder.encode_threaded(
         clip,
         &mut rec,
@@ -308,35 +318,22 @@ pub fn capture_encode(spec: &RunSpec) -> Result<CapturedEncode, WorkbenchError> 
 /// Bit-identical to a fused live encode driving the core model directly
 /// — the `stream_equivalence` integration test is the oracle.
 ///
-/// # Errors
-///
-/// Returns the [`StreamError`] of a stream that fails to replay, which
-/// only a damaged stored stream does.
-pub fn try_characterize_from_capture(
-    spec: &RunSpec,
-    cap: &CapturedEncode,
-) -> Result<CharacterizationRun, StreamError> {
-    let mut core = CoreModel::broadwell_scaled(spec.cache_divisor);
-    if spec.model_pipeline {
-        cap.stream.try_replay(&mut core)?;
-    }
-    Ok(run_from_parts(spec, cap, core))
-}
-
-/// [`try_characterize_from_capture`] for a capture recorded in this
-/// process.
-///
 /// # Panics
 ///
-/// Panics if the capture's stream fails to replay.
+/// Panics if the capture's stream fails to replay, which only a damaged
+/// stored stream does.
 pub fn characterize_from_capture(spec: &RunSpec, cap: &CapturedEncode) -> CharacterizationRun {
-    try_characterize_from_capture(spec, cap).unwrap_or_else(|e| panic!("{e}"))
+    let mut core = CoreModel::broadwell_scaled(spec.cache_divisor);
+    if spec.model_pipeline {
+        cap.stream.replay(&mut core);
+    }
+    run_from_parts(spec, cap, core)
 }
 
 /// Assembles the run record from a capture plus a core model that has
 /// already consumed the capture's stream (or is untouched, for
-/// counting-only specs) — shared by the serial replay path and the
-/// channel-overlapped capture pipeline in [`crate::exec::RunCache`].
+/// counting-only specs) — shared by [`characterize_from_capture`] and the
+/// one-pass groups of [`crate::exec::RunCache`].
 pub fn run_from_parts(
     spec: &RunSpec,
     cap: &CapturedEncode,

@@ -88,7 +88,7 @@ const OP_BRANCH: u8 = 6;
 const COMPUTE_ESCAPE: u64 = 31;
 
 #[inline]
-fn push_varint(out: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn push_varint(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         out.push((v as u8) | 0x80);
         v >>= 7;
@@ -97,12 +97,12 @@ fn push_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// The longest LEB128 encoding of a `u64`.
-const MAX_VARINT_BYTES: u32 = 10;
+pub(crate) const MAX_VARINT_BYTES: u32 = 10;
 
 /// Reads one LEB128 varint, advancing the cursor slice past it. Slice
 /// patterns keep the loop free of index bounds checks.
 #[inline]
-fn read_varint(rest: &mut &[u8]) -> Result<u64, MalformedChunk> {
+pub(crate) fn read_varint(rest: &mut &[u8]) -> Result<u64, MalformedChunk> {
     let mut v = 0u64;
     let mut shift = 0u32;
     while let [b, tail @ ..] = *rest {
@@ -120,12 +120,12 @@ fn read_varint(rest: &mut &[u8]) -> Result<u64, MalformedChunk> {
 }
 
 #[inline]
-fn zigzag(v: i64) -> u64 {
+pub(crate) fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 #[inline]
-fn unzigzag(v: u64) -> i64 {
+pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
@@ -373,28 +373,9 @@ impl EventStream {
     /// damaged in a way the store's checksum did not catch, or its file is
     /// cut short after the load.
     pub fn try_replay<P: Probe>(&self, probe: &mut P) -> Result<(), StreamError> {
-        self.try_replay_until(probe, |_| false)
-    }
-
-    /// [`EventStream::try_replay`] that stops after the first chunk at
-    /// whose end `done(probe)` holds: the chunks after it are neither read
-    /// nor decoded, and the event count is checked only when every chunk
-    /// was.
-    ///
-    /// # Errors
-    ///
-    /// As [`EventStream::try_replay`], for the chunks it reaches.
-    pub fn try_replay_until<P: Probe>(
-        &self,
-        probe: &mut P,
-        mut done: impl FnMut(&P) -> bool,
-    ) -> Result<(), StreamError> {
         let mut decoder = ChunkDecoder::new();
         for chunk in &self.chunks {
             decoder.decode(chunk, probe)?;
-            if done(probe) {
-                return Ok(());
-            }
         }
         decoder.finish(self.events)
     }
@@ -551,13 +532,16 @@ pub fn decode_chunk<P: Probe>(bytes: &[u8], probe: &mut P) -> Result<u64, Malfor
 /// With a sink attached ([`StreamRecorder::with_sink`]), each completed
 /// chunk is also pushed into a bounded [`chunk_channel`], letting a
 /// consumer thread simulate the head of the stream while the tail is
-/// still being encoded.
+/// still being encoded. A recorder told to keep no chunks
+/// ([`StreamRecorder::keep_chunks`]) drops each one once it is sent, so
+/// it holds one chunk at a time however long the run.
 #[derive(Debug)]
 pub struct StreamRecorder {
     counting: CountingProbe,
     canon: AddressCanonicalizer,
     chunk: Vec<u8>,
     chunks: Vec<SharedBytes>,
+    keep: bool,
     chunk_target: usize,
     prev_addr: u64,
     prev_pc: u64,
@@ -580,6 +564,7 @@ impl StreamRecorder {
             canon: AddressCanonicalizer::new(),
             chunk: Vec::with_capacity(CHUNK_TARGET + 64),
             chunks: Vec::new(),
+            keep: true,
             chunk_target: CHUNK_TARGET,
             prev_addr: 0,
             prev_pc: 0,
@@ -599,6 +584,17 @@ impl StreamRecorder {
         r
     }
 
+    /// Whether to keep each completed chunk (the default) or drop it once
+    /// the sink, if any, has it. A recorder that keeps none returns from
+    /// [`StreamRecorder::finish`] a stream with the run's event count and
+    /// no chunks: the sink's consumer is the only reader of the events,
+    /// and replaying the returned stream fails with
+    /// [`StreamError::EventCount`].
+    pub fn keep_chunks(mut self, keep: bool) -> Self {
+        self.keep = keep;
+        self
+    }
+
     /// Overrides the chunk flush threshold (bytes). Testing and tuning
     /// knob; the default is 1 MiB.
     pub fn with_chunk_target(mut self, bytes: usize) -> Self {
@@ -607,8 +603,8 @@ impl StreamRecorder {
     }
 
     /// Finalizes the stream: flushes the partial chunk, closes the sink
-    /// (if any) and returns the packed stream plus the counting summary
-    /// of the full run.
+    /// (if any) and returns the packed stream (without chunks, if it kept
+    /// none) plus the counting summary of the full run.
     pub fn finish(mut self) -> (EventStream, CountingProbe) {
         if !self.chunk.is_empty() {
             // The last chunk is short; give back its unused capacity.
@@ -629,7 +625,9 @@ impl StreamRecorder {
         if let Some(tx) = &self.sink {
             tx.send(chunk.clone());
         }
-        self.chunks.push(chunk);
+        if self.keep {
+            self.chunks.push(chunk);
+        }
         self.prev_addr = 0;
         self.prev_pc = 0;
     }
@@ -843,8 +841,8 @@ impl ChannelInner {
 /// The producer side blocks once `capacity` chunks are queued, bounding
 /// the memory between a recording encode and the simulation draining it;
 /// the consumer blocks while the queue is empty. Dropping either side
-/// unblocks the other (the producer's sends then discard silently — the
-/// recorder still accumulates the full stream in memory).
+/// unblocks the other (the producer's sends then discard silently; a
+/// recorder that keeps its chunks still holds the full stream).
 pub fn chunk_channel(capacity: usize) -> (ChunkTx, ChunkRx) {
     let inner = Arc::new(ChannelInner {
         state: Mutex::new(ChannelState {
@@ -1315,31 +1313,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn replay_until_stops_after_the_chunk_that_completes() {
-        let (stream, _) = capture(25_000, 2048);
-        let (loaded, file) = load_from_file(&stream, "until");
-        let mut probe = CountingProbe::new();
-        let mut seen = 0;
-        loaded
-            .try_replay_until(&mut probe, |_| {
-                seen += 1;
-                seen == 2
-            })
-            .unwrap();
-        assert_eq!(seen, 2, "stopped after the second chunk");
-        // The chunks after the stop are never read: a file cut inside the
-        // third chunk (past every token header, short of its ~2 KB payload)
-        // still serves the same replay.
-        let end = serde::to_bytes(&stream).len() - stream.packed_bytes()
-            + stream.chunks()[..2].iter().map(SharedBytes::len).sum::<usize>();
-        file.set_len(end as u64).unwrap();
-        let mut again = CountingProbe::new();
-        loaded.try_replay_until(&mut again, |p| p.retired() >= probe.retired()).unwrap();
-        assert_eq!(again, probe);
-        assert!(loaded.try_replay(&mut CountingProbe::new()).is_err());
-    }
-
     /// A chunk recorded from [`drive`], for mutation.
     fn recorded_chunk() -> SharedBytes {
         capture(400, 1 << 20).0.chunks()[0].clone()
@@ -1420,6 +1393,29 @@ mod tests {
         assert_eq!(seen.len(), stream.chunks().len());
         assert!(seen.iter().zip(stream.chunks()).all(|(a, b)| a == b));
         assert_eq!(replayed, counting, "streamed replay equals the full capture");
+    }
+
+    #[test]
+    fn a_recorder_keeping_no_chunks_only_sends_them() {
+        let (tx, rx) = chunk_channel(2);
+        let consumer = std::thread::spawn(move || {
+            let mut decoder = ChunkDecoder::new();
+            let mut replayed = CountingProbe::new();
+            while let Some(chunk) = rx.recv() {
+                decoder.decode(&chunk, &mut replayed).unwrap();
+            }
+            (decoder, replayed)
+        });
+        let mut rec = StreamRecorder::with_sink(tx).with_chunk_target(1024).keep_chunks(false);
+        drive(&mut rec, 30_000);
+        let (stream, counting) = rec.finish();
+        let (decoder, replayed) = consumer.join().unwrap();
+        assert!(decoder.chunks() > 10, "{} chunks", decoder.chunks());
+        assert_eq!(replayed, counting, "the sink saw the whole run");
+        decoder.finish(stream.events()).unwrap();
+        assert!(stream.chunks().is_empty(), "no chunk kept");
+        let err = stream.try_replay(&mut NullProbe).unwrap_err();
+        assert!(matches!(err, StreamError::EventCount { counted: 0, .. }), "{err}");
     }
 
     #[test]
