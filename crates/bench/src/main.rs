@@ -486,6 +486,11 @@ fn run_suite(suite: &mut Suite) -> Option<u64> {
     suite.time_it("sim_stream_replay_16k", 0, || {
         stream_model.consume_stream(black_box(&stream16k));
     });
+    // The same drain into the scaled geometry every quick run simulates.
+    let mut scaled_model = CoreModel::broadwell_scaled(16);
+    suite.time_it("sim_stream_replay_scaled16_16k", 0, || {
+        scaled_model.consume_stream(black_box(&stream16k));
+    });
 
     // Branch predictors: single predict+update round-trips.
     let mut g32 = Gshare::with_budget_bytes(32 << 10);

@@ -170,7 +170,7 @@ impl Cache {
     /// Compares every way with no early exit, so the only branch the
     /// caller sees is hit versus miss. Tags are unique within a set, so
     /// at most one way contributes its `way + 1` to the OR.
-    #[inline]
+    #[inline(always)]
     fn find(&self, base: usize, line: u64) -> Option<usize> {
         let tags = &self.tags[base..base + self.ways];
         let way_plus_one = tags
@@ -183,21 +183,28 @@ impl Cache {
     /// Records a touch of `slot` (= `set * ways + way`) at the current
     /// tick and ORs in `dirty`: one fused meta write for LRU, the policy
     /// state machine otherwise.
-    #[inline]
+    #[inline(always)]
     fn touch(&mut self, slot: usize, set: usize, way: usize, dirty: u64) {
         if self.lru {
             let m = &mut self.meta[slot];
             *m = (self.tick << STAMP_SHIFT) | (*m & DIRTY) | dirty;
         } else {
-            self.sets[set].touch(way, self.ways, self.tick);
-            self.meta[slot] |= dirty;
+            self.touch_policy(slot, set, way, dirty);
         }
+    }
+
+    /// The non-LRU arm of [`Cache::touch`], kept out of the inlined hit
+    /// path: every shipped hierarchy uses LRU.
+    #[inline(never)]
+    fn touch_policy(&mut self, slot: usize, set: usize, way: usize, dirty: u64) {
+        self.sets[set].touch(way, self.ways, self.tick);
+        self.meta[slot] |= dirty;
     }
 
     /// Looks up `line`; on miss, installs it (evicting as needed).
     ///
     /// Returns whether it hit and any dirty line evicted.
-    #[inline]
+    #[inline(always)]
     pub fn access_line(&mut self, line: u64, kind: AccessKind) -> LookupResult {
         self.tick += 1;
         self.stats.accesses += 1;
@@ -226,7 +233,7 @@ impl Cache {
     /// holds — the hierarchy uses this for back-to-back accesses to the
     /// last touched L1 line, which stays resident (and MRU) because only
     /// its own accesses can evict it.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn mru_hit(&mut self, line: u64, kind: AccessKind) {
         debug_assert!(
             self.tags[self.mru_slot] == line,

@@ -162,7 +162,7 @@ impl Hierarchy {
         self.memory_writebacks = 0;
     }
 
-    #[inline]
+    #[inline(always)]
     fn data_access(&mut self, addr: u64, bytes: u32, kind: AccessKind) -> ServiceLevel {
         // Line sizes are powers of two, so shifting is exactly the
         // division the reference performs.
@@ -181,7 +181,9 @@ impl Hierarchy {
         worst
     }
 
-    #[inline]
+    /// One L1D line access. The L1 hit path, nearly every access, is
+    /// inlined into the caller; the miss tail is not.
+    #[inline(always)]
     fn data_access_line(&mut self, line: u64, kind: AccessKind) -> ServiceLevel {
         if line == self.l1d_mru_line {
             self.l1d.mru_hit(line, kind);
@@ -192,9 +194,15 @@ impl Hierarchy {
         if l1.hit {
             return ServiceLevel::L1;
         }
-        // Write-allocate: access_line installed the line; push its dirty
-        // victim (if any) down into L2.
-        if let Some(victim) = l1.writeback {
+        self.l1d_miss(line, l1.writeback)
+    }
+
+    /// The L1D-miss tail of [`Hierarchy::data_access_line`], after the
+    /// lookup installed `line` (write-allocate): pushes its dirty victim
+    /// `writeback`, if any, down into L2, then refills `line` from below.
+    #[inline(never)]
+    fn l1d_miss(&mut self, line: u64, writeback: Option<u64>) -> ServiceLevel {
+        if let Some(victim) = writeback {
             if let Some(l2_victim) = self.l2.fill_line(victim, true) {
                 if self.llc.fill_line(l2_victim, true).is_some() {
                     self.memory_writebacks += 1;

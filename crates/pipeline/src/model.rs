@@ -4,7 +4,7 @@ use crate::config::CoreConfig;
 use crate::report::{CoreReport, ResourceStalls};
 use vstress_bpred::{BranchPredictor, Gshare};
 use vstress_cache::{Hierarchy, HierarchyConfig, ServiceLevel};
-use vstress_trace::{ChunkDecoder, EventStream, Kernel, Probe, SharedBytes};
+use vstress_trace::{EventStream, Kernel, Probe};
 
 /// An interval-model out-of-order core consuming an instrumented encode.
 ///
@@ -236,9 +236,11 @@ impl<B: BranchPredictor> CoreModel<B> {
     }
 
     /// Switches the active kernel, refreshing the cached per-kernel
-    /// scalars. All three dispatch surfaces (live probe, stream sink,
-    /// batched drain) funnel through here so the `cur_*` caches stay
-    /// coherent with `kernel`.
+    /// scalars. The model's one [`Probe`] impl calls it on every kernel
+    /// event, whether fed live through a
+    /// [`CanonicalizingProbe`](vstress_trace::CanonicalizingProbe) or by
+    /// [`decode_chunk`](vstress_trace::stream::decode_chunk), so the `cur_*`
+    /// caches stay coherent with `kernel`.
     #[inline]
     fn switch_kernel(&mut self, k: Kernel) {
         self.fetch_bytes[self.kernel.index()] = self.cur_fetch;
@@ -365,23 +367,6 @@ impl<B: BranchPredictor> CoreModel<B> {
         stream.replay(self);
     }
 
-    /// Drains one packed chunk of a captured stream (see
-    /// [`CoreModel::consume_stream`]). Chunks must be fed in stream
-    /// order; this is the consumer half of the capture/simulate
-    /// pipeline, draining a [`vstress_trace::ChunkRx`] while the encode
-    /// is still producing.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a chunk that cannot be read or decoded; a
-    /// [`ChunkDecoder`] with the model as its probe returns the error
-    /// instead.
-    pub fn consume_chunk(&mut self, chunk: &SharedBytes) {
-        if let Err(e) = ChunkDecoder::new().decode(chunk, self) {
-            panic!("{e}");
-        }
-    }
-
     /// Charges a data-side miss stall and the associated resource pressure.
     #[inline]
     fn memory_stall(&mut self, level: ServiceLevel, is_store: bool) {
@@ -500,6 +485,7 @@ impl<B: BranchPredictor> Probe for CoreModel<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vstress_cache::{CacheConfig, ReplacementPolicy};
     use vstress_trace::CanonicalizingProbe;
 
     /// A scaled model fed raw addresses, canonicalized as a capture
@@ -640,12 +626,18 @@ mod tests {
     /// The capture/replay round trip must be invisible: recording a raw
     /// event stream through a `StreamRecorder` (which canonicalizes
     /// addresses and drops redundant kernel redeclarations) and draining
-    /// it via `replay` or `consume_stream` must produce a report
-    /// bit-identical to driving the model live with the raw events
-    /// through a `CanonicalizingProbe` (which assigns the same pages in
-    /// the same first-touch order).
-    #[test]
-    fn stream_replay_is_bit_identical_to_live_dispatch() {
+    /// it via `replay` or `consume_stream` into a fresh `make()` must
+    /// produce a report bit-identical to driving `make()` live with the
+    /// raw events through a `CanonicalizingProbe` (which assigns the same
+    /// pages in the same first-touch order). Loads fall in the first
+    /// `load_span` bytes of one region, and stores in the first
+    /// `store_span` bytes from `store_base`. Returns the live report.
+    fn assert_replay_matches_live(
+        make: impl Fn() -> CoreModel,
+        load_span: u64,
+        store_base: u64,
+        store_span: u64,
+    ) -> CoreReport {
         use vstress_trace::StreamRecorder;
         let mut x = 0x0fed_cba9_8765_4321u64;
         let mut step = move || {
@@ -654,7 +646,7 @@ mod tests {
             x ^= x << 17;
             x
         };
-        let mut live = scaled();
+        let mut live = CanonicalizingProbe::new(make());
         let mut rec = StreamRecorder::new().with_chunk_target(16 << 10);
         for _ in 0..150_000 {
             match step() % 12 {
@@ -679,12 +671,12 @@ mod tests {
                     rec.sse(n);
                 }
                 7 | 8 => {
-                    let (a, b) = (0x7f12_0000_0000 + step() % (1 << 22), 1 << (step() % 7));
+                    let (a, b) = (LOAD_BASE + step() % load_span, 1 << (step() % 7));
                     live.load(a, b);
                     rec.load(a, b);
                 }
                 9 => {
-                    let (a, b) = (0x7f34_0000_0000 + step() % (1 << 20), 13);
+                    let (a, b) = (store_base + step() % store_span, 13);
                     live.store(a, b);
                     rec.store(a, b);
                 }
@@ -696,13 +688,62 @@ mod tests {
             }
         }
         let (stream, _) = rec.finish();
-        let mut replayed = CoreModel::broadwell_scaled(16);
+        let mut replayed = make();
         stream.replay(&mut replayed);
-        let mut chunked = CoreModel::broadwell_scaled(16);
+        let mut chunked = make();
         chunked.consume_stream(&stream);
         let live = report(live);
         assert_eq!(live, replayed.into_report());
         assert_eq!(live, chunked.into_report());
+        live
+    }
+
+    /// Where [`assert_replay_matches_live`]'s loads fall.
+    const LOAD_BASE: u64 = 0x7f12_0000_0000;
+
+    #[test]
+    fn stream_replay_is_bit_identical_to_live_dispatch() {
+        let make = || CoreModel::broadwell_scaled(16);
+        assert_replay_matches_live(make, 1 << 22, 0x7f34_0000_0000, 1 << 20);
+    }
+
+    /// A model whose levels (1, 1, 4 and 16 KiB) all have `ways` ways
+    /// and replace under `policy`.
+    fn small_model(policy: ReplacementPolicy, ways: usize) -> CoreModel {
+        let level = |size_bytes| CacheConfig { size_bytes, ways, line_bytes: 64, policy };
+        let mut hierarchy = HierarchyConfig::broadwell_scaled(16);
+        hierarchy.l1i = level(1 << 10);
+        hierarchy.l1d = level(1 << 10);
+        hierarchy.l2 = level(4 << 10);
+        hierarchy.llc = level(16 << 10);
+        CoreModel::new(CoreConfig::broadwell(), hierarchy, Gshare::with_budget_bytes(32 << 10))
+    }
+
+    /// The same round trip under each non-LRU replacement policy, whose
+    /// touch runs out of line, over levels small enough that misses,
+    /// dirty writebacks and the policy's own state all run. Stores land
+    /// among the loaded lines, so many hit a clean line. With one way
+    /// per set every policy has one victim, so there the report must
+    /// also equal LRU's: a policy path that dropped a store hit's dirty
+    /// bit would write back less.
+    #[test]
+    fn stream_replay_is_bit_identical_to_live_dispatch_under_every_policy() {
+        let (load_span, store_span) = (16 << 10, 8 << 10);
+        let run = |policy, ways| {
+            let make = || small_model(policy, ways);
+            assert_replay_matches_live(make, load_span, LOAD_BASE, store_span)
+        };
+        let lru = run(ReplacementPolicy::Lru, 1);
+        let cache = lru.cache;
+        assert!(cache.l1d.writebacks > 0 && cache.l2.writebacks > 0 && cache.llc.writebacks > 0);
+        assert!(cache.memory_accesses > 0 && cache.memory_writebacks > 0);
+        for policy in ReplacementPolicy::ALL {
+            if policy == ReplacementPolicy::Lru {
+                continue;
+            }
+            run(policy, 4);
+            assert_eq!(run(policy, 1), lru, "{policy:?} with one way diverged from LRU");
+        }
     }
 
     #[test]

@@ -100,8 +100,9 @@ pub(crate) fn push_varint(out: &mut Vec<u8>, mut v: u64) {
 pub(crate) const MAX_VARINT_BYTES: u32 = 10;
 
 /// Reads one LEB128 varint, advancing the cursor slice past it. Slice
-/// patterns keep the loop free of index bounds checks.
-#[inline]
+/// patterns keep the loop free of index bounds checks. Always inlined:
+/// it runs on most events of every decode loop.
+#[inline(always)]
 pub(crate) fn read_varint(rest: &mut &[u8]) -> Result<u64, MalformedChunk> {
     let mut v = 0u64;
     let mut shift = 0u32;

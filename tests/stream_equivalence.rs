@@ -3,7 +3,7 @@
 //! **bit-identical** to a fused live encode (the core model attached as
 //! the encoder's probe, no stream in between; `characterize_live`) —
 //! not approximately equal.
-//! Every optimization in the replay loop (batched chunk drains, cached
+//! Every optimization in the replay loop (the inlined L1-hit path, cached
 //! per-kernel scalars, the incremental fetch walk, the branch-free cache
 //! set scan) is licensed by these tests.
 //!
@@ -19,7 +19,9 @@ use vstress::codecs::{CodecId, Encoder};
 use vstress::pipeline::{CoreConfig, CoreModel};
 use vstress::runtime::cycles_to_seconds;
 use vstress::trace::stream::chunk_channel;
-use vstress::trace::{BranchWindowProbe, CanonicalizingProbe, CountingProbe, TeeProbe};
+use vstress::trace::{
+    BranchWindowProbe, CanonicalizingProbe, ChunkDecoder, CountingProbe, TeeProbe,
+};
 use vstress::video::Clip;
 use vstress::workbench::{
     capture_encode_with, characterize_from_capture, clip_for, equivalent_params, run_from_parts,
@@ -83,8 +85,10 @@ fn capture_replay_is_bit_identical_to_live_for_every_codec() {
 }
 
 /// The overlapped capture pipeline — encode feeding chunks through a
-/// bounded channel into a concurrently draining core model — must land
-/// on the same bits as a serial replay of the finished stream.
+/// bounded channel into a concurrently draining core model, decoded by a
+/// `ChunkDecoder` with the model as its probe, as a plan's consumer
+/// thread does — must land on the same bits as a serial replay of the
+/// finished stream.
 #[test]
 fn channel_overlapped_consume_matches_serial_replay() {
     let spec = spec_for(CodecId::SvtAv1);
@@ -94,13 +98,16 @@ fn channel_overlapped_consume_matches_serial_replay() {
         let divisor = spec.cache_divisor;
         let consumer = scope.spawn(move || {
             let mut core = CoreModel::broadwell_scaled(divisor);
+            let mut decoder = ChunkDecoder::new();
             while let Some(chunk) = rx.recv() {
-                core.consume_chunk(&chunk);
+                decoder.decode(&chunk, &mut core).unwrap();
             }
-            core
+            (core, decoder)
         });
         let cap = capture_encode_with(&spec, &clip, Some(tx)).unwrap();
-        (cap, consumer.join().unwrap())
+        let (core, decoder) = consumer.join().unwrap();
+        decoder.finish(cap.stream.events()).unwrap();
+        (cap, core)
     });
     let overlapped = run_from_parts(&spec, &cap, core);
     let serial = characterize_from_capture(&spec, &cap);
