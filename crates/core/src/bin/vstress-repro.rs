@@ -5,7 +5,7 @@
 //! vstress-repro --quick            # the same, spelled out (CI uses this)
 //! vstress-repro --paper            # full profile (slow; used for EXPERIMENTS.md)
 //! vstress-repro --csv out/         # also write each table as CSV into out/
-//! vstress-repro --threads 4        # size of the encode worker pool
+//! vstress-repro --threads 4        # encode workers (threads, one per encode)
 //! vstress-repro --tile-workers 4   # intra-encode tile/wavefront threads
 //! vstress-repro --frame-workers 4  # cross-frame pipeline depth
 //! vstress-repro --store cache/     # persist results; repeat runs resume
@@ -17,7 +17,10 @@
 //! Every wanted experiment's run-cache requests run first, as one plan
 //! grouped by encode point, one pass over each point that keeps no event
 //! stream unless the store must write it; the runners then only read
-//! memos and format tables.
+//! memos and format tables. Each of the `--threads N` workers runs an
+//! encode and that encode's simulation (its recorder feeds the core
+//! models and branch windows as it goes), so `N` workers use `N` threads,
+//! plus any `--tile-workers`/`--frame-workers` helpers inside an encode.
 //!
 //! With `--store DIR`, completed characterization runs (and branch
 //! windows / decode-cost pairs) persist under `DIR`, so an interrupted
@@ -42,7 +45,7 @@ const FLAGS: &[FlagSpec] = &[
     FlagSpec::switch("--paper", "full profile (slow; behind EXPERIMENTS.md)"),
     FlagSpec::switch("--time", "plan and per-experiment wall clock on stderr"),
     FlagSpec::value("--csv", "DIR", "also write each table as CSV into DIR"),
-    FlagSpec::value("--threads", "N", "encode worker pool size (positive)"),
+    FlagSpec::value("--threads", "N", "workers, each an encode and its simulation (positive)"),
     FlagSpec::value("--tile-workers", "N", "tile/wavefront threads per encode (positive)"),
     FlagSpec::value("--frame-workers", "N", "cross-frame pipeline depth per encode (positive)"),
     FlagSpec::value("--store", "DIR", "persist results; repeat runs resume"),

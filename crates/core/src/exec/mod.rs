@@ -29,18 +29,17 @@
 //!
 //! Every compute is one *pass* over an encode point: the stream
 //! consumers it needs — a core model per pipeline run, a branch window
-//! per window — are fed the same chunks together, on a consumer thread
-//! while the recording encode makes them (over a bounded channel), or
-//! in one replay of a capture held in memory or loaded from the store.
+//! per window — are fed the same events together, by the recorder as the
+//! recording encode makes them, on the encode's own thread, or in one
+//! replay of a capture held in memory or loaded from the store.
 //! [`RunCache::run_plan`] runs a whole batch of [`Request`]s as one
 //! pass per encode point, for every request the memos and the store do
 //! not already serve, and drops each capture when its group is done. A
-//! planned recording keeps no chunk after its consumers have it unless
-//! a store is attached, which needs the stream entry written, so a cold
-//! planned process holds no event stream and a store fill one per
-//! worker; the window is cut as the stream arrives. Without a plan,
-//! captures keep their streams and live as long as the cache, so later
-//! requests replay them.
+//! planned recording packs no stream unless a store is attached, which
+//! needs the stream entry written, so a cold planned process holds no
+//! event stream and a store fill one per worker; the window is cut as
+//! the events arrive. Without a plan, captures keep their streams and
+//! live as long as the cache, so later requests replay them.
 //!
 //! Attaching a persistent [`store::RunStore`] (see
 //! [`RunCache::with_store`]) extends the capture, run, window and cost
@@ -84,18 +83,12 @@ use store::{KIND_COST, KIND_RUN, KIND_STREAM, KIND_WINDOW};
 use vstress_codecs::batch::run_ordered;
 use vstress_codecs::{CodecId, Decoder, EncoderParams};
 use vstress_pipeline::CoreModel;
-use vstress_trace::stream::chunk_channel;
 use vstress_trace::{
-    BranchRecord, BranchWindowProbe, ChunkDecoder, CountingProbe, SharedBytes, StreamError,
-    StreamRecorder,
+    BranchRecord, BranchWindowProbe, ChunkDecoder, CountingProbe, Kernel, Probe, SharedBytes,
+    StreamError, StreamRecorder,
 };
 use vstress_video::vbench::FidelityConfig;
 use vstress_video::Clip;
-
-/// Bounded depth (in ~1 MiB chunks) of the capture→simulate channel:
-/// enough that neither side stalls on short bursts, small enough that a
-/// slow consumer caps the recorder's working set at a few megabytes.
-const CAPTURE_CHANNEL_CHUNKS: usize = 8;
 
 /// The hashable projection of [`FidelityConfig`].
 type FidelityKey = (usize, usize, u64);
@@ -421,31 +414,30 @@ impl Consumers {
         consumers
     }
 
-    fn is_empty(&self) -> bool {
-        self.divisors.is_empty() && self.windows.is_empty()
-    }
-
-    /// Fresh consumers, about to be fed. The windows are centred on a
-    /// stream of `total` instructions or, given `None` for a stream still
-    /// being recorded, on every instruction they will have seen.
-    fn feeding(&self, total: Option<u64>) -> Feeding {
-        let core = |&d: &usize| (CoreModel::broadwell_scaled(d), ChunkDecoder::new());
-        let window = |&w: &u64| {
-            let probe = match total {
-                Some(total) => BranchWindowProbe::mid_run(total, w),
-                None => BranchWindowProbe::centered(w),
-            };
-            (probe, ChunkDecoder::new())
-        };
-        Feeding {
-            cores: self.divisors.iter().map(core).collect(),
-            windows: self.windows.iter().map(window).collect(),
+    /// Fresh consumers for a recording encode to feed live: the windows
+    /// are centred on every instruction they will have seen.
+    fn fanout(&self) -> Fanout {
+        Fanout {
+            cores: self.divisors.iter().map(|&d| CoreModel::broadwell_scaled(d)).collect(),
+            windows: self.windows.iter().map(|&w| BranchWindowProbe::centered(w)).collect(),
         }
     }
 
     /// Fresh consumers fed `cap`'s whole stream.
     fn replay(&self, cap: &CapturedEncode) -> Result<Fed, StreamError> {
-        let mut feeding = self.feeding(Some(cap.mix.total()));
+        let total = cap.mix.total();
+        let mut feeding = Feeding {
+            cores: self
+                .divisors
+                .iter()
+                .map(|&d| (CoreModel::broadwell_scaled(d), ChunkDecoder::new()))
+                .collect(),
+            windows: self
+                .windows
+                .iter()
+                .map(|&w| (BranchWindowProbe::mid_run(total, w), ChunkDecoder::new()))
+                .collect(),
+        };
         for chunk in cap.stream.chunks() {
             feeding.feed(chunk)?;
         }
@@ -453,11 +445,78 @@ impl Consumers {
     }
 }
 
-/// The consumers of a pass while its stream is fed. Each decodes every
-/// chunk in a decode loop of its own: one loop fanning each event out to
-/// them all runs the core model, most of a pass's time, measurably
-/// slower than the model's own loop. A core model reads the whole stream,
-/// which checks it, so beside one a window stops reading once complete.
+/// The consumers of a recording encode's pass, fed each canonical event
+/// by the recorder as the encode makes it, on the encode's own thread.
+struct Fanout {
+    cores: Vec<CoreModel>,
+    windows: Vec<BranchWindowProbe>,
+}
+
+impl Fanout {
+    /// The consumers, fed the whole run.
+    fn fed(self) -> Fed {
+        Fed { cores: self.cores.into_iter(), windows: self.windows.into_iter() }
+    }
+}
+
+// Always inlined into the recorder's `Probe` methods, which then call each
+// consumer's handler directly.
+impl Probe for Fanout {
+    #[inline(always)]
+    fn set_kernel(&mut self, k: Kernel) {
+        self.cores.iter_mut().for_each(|c| c.set_kernel(k));
+        self.windows.iter_mut().for_each(|w| w.set_kernel(k));
+    }
+
+    #[inline(always)]
+    fn alu(&mut self, n: u64) {
+        self.cores.iter_mut().for_each(|c| c.alu(n));
+        self.windows.iter_mut().for_each(|w| w.alu(n));
+    }
+
+    #[inline(always)]
+    fn avx(&mut self, n: u64) {
+        self.cores.iter_mut().for_each(|c| c.avx(n));
+        self.windows.iter_mut().for_each(|w| w.avx(n));
+    }
+
+    #[inline(always)]
+    fn sse(&mut self, n: u64) {
+        self.cores.iter_mut().for_each(|c| c.sse(n));
+        self.windows.iter_mut().for_each(|w| w.sse(n));
+    }
+
+    #[inline(always)]
+    fn load(&mut self, addr: u64, bytes: u32) {
+        self.cores.iter_mut().for_each(|c| c.load(addr, bytes));
+        self.windows.iter_mut().for_each(|w| w.load(addr, bytes));
+    }
+
+    #[inline(always)]
+    fn store(&mut self, addr: u64, bytes: u32) {
+        self.cores.iter_mut().for_each(|c| c.store(addr, bytes));
+        self.windows.iter_mut().for_each(|w| w.store(addr, bytes));
+    }
+
+    #[inline(always)]
+    fn branch(&mut self, pc: u64, taken: bool) {
+        self.cores.iter_mut().for_each(|c| c.branch(pc, taken));
+        self.windows.iter_mut().for_each(|w| w.branch(pc, taken));
+    }
+
+    /// Live while it has a consumer: with none, the recorder need not
+    /// rename addresses for it.
+    fn is_live(&self) -> bool {
+        !(self.cores.is_empty() && self.windows.is_empty())
+    }
+}
+
+/// The consumers of a pass while a held or stored stream is replayed into
+/// them. Each decodes every chunk in a decode loop of its own: one loop
+/// fanning each event out to them all runs the core model, most of a
+/// pass's time, measurably slower than the model's own loop. A core model
+/// reads the whole stream, which checks it, so beside one a window stops
+/// reading once complete.
 struct Feeding {
     cores: Vec<(CoreModel, ChunkDecoder)>,
     windows: Vec<(BranchWindowProbe, ChunkDecoder)>,
@@ -709,8 +768,8 @@ impl RunCache {
     /// profile and bitstream) and `consumers` fed the whole stream.
     ///
     /// A capture the memo holds, or one loaded from the store, is replayed
-    /// into the consumers. Otherwise the encode is recorded, and a consumer
-    /// thread feeds them each chunk while the encode makes the next. When
+    /// into the consumers. Otherwise the encode is recorded, and its
+    /// recorder feeds them each event as the encode makes it. When
     /// `memoize`, a capture this makes goes into the memo, for later
     /// requests to replay; otherwise it is the caller's alone.
     ///
@@ -788,11 +847,11 @@ impl RunCache {
         self.record(spec, consumers, memoize)
     }
 
-    /// Performs the recording encode of `spec`'s point, feeding
-    /// `consumers` each chunk on a consumer thread as the recorder flushes
-    /// it, and writes the capture to the store. The recorder keeps its
-    /// chunks only for a later reader: the store's entry, or, when
-    /// `memoize`, later replays of the memoized capture.
+    /// Performs the recording encode of `spec`'s point, its recorder
+    /// feeding `consumers` each canonical event as the encode makes it, and
+    /// writes the capture to the store. The recorder packs the stream only
+    /// for a later reader: the store's entry, or, when `memoize`, later
+    /// replays of the memoized capture.
     fn record(
         &self,
         spec: &RunSpec,
@@ -803,37 +862,12 @@ impl RunCache {
         self.encodes.fetch_add(1, Ordering::Relaxed);
         self.stream_captures.fetch_add(1, Ordering::Relaxed);
         let keep = memoize || self.store.is_some();
-        let (encode, fed) = if consumers.is_empty() {
-            let rec = StreamRecorder::new().keep_chunks(keep);
-            (capture_encode_into(spec, &clip, rec)?, consumers.feeding(None).finish(0)?)
-        } else {
-            let (encode, fed) = std::thread::scope(|scope| {
-                let (tx, rx) = chunk_channel(CAPTURE_CHANNEL_CHUNKS);
-                let consumer = scope.spawn(move || {
-                    let mut feeding = consumers.feeding(None);
-                    // Stopping at an error drops the receiver, which lets
-                    // the recording run to its end.
-                    std::iter::from_fn(|| rx.recv())
-                        .try_for_each(|chunk| feeding.feed(&chunk))
-                        .map(|()| feeding)
-                });
-                let rec = StreamRecorder::with_sink(tx).keep_chunks(keep);
-                let encode = capture_encode_into(spec, &clip, rec);
-                match consumer.join() {
-                    Ok(fed) => (encode, fed),
-                    Err(p) => std::panic::resume_unwind(p),
-                }
-            });
-            let encode = encode?;
-            // The consumers have decoded exactly this recording; that fails
-            // only on a recorder bug.
-            let fed = fed?.finish(encode.stream.events())?;
-            (encode, fed)
-        };
+        let mut fanout = consumers.fanout();
+        let encode = capture_encode_into(spec, &clip, StreamRecorder::feeding(&mut fanout, keep))?;
         if let Some(store) = &self.store {
             store.put(KIND_STREAM, &CaptureKey::of(spec).store_text(), &encode);
         }
-        Ok((Capture { encode, stored: false }, fed))
+        Ok((Capture { encode, stored: false }, fanout.fed()))
     }
 
     /// Drops `cap` from the memo and quarantines its store entry — unless
@@ -859,7 +893,7 @@ impl RunCache {
     /// of its encode point — encoding only on the first request for
     /// that point, or never, when the persistent store already holds
     /// the run or its stream. A pipeline run feeds the core model the
-    /// capture's stream as the encode records it, or replays it.
+    /// capture's events as the encode records them, or replays them.
     ///
     /// # Errors
     ///
@@ -928,13 +962,14 @@ impl RunCache {
     /// A group skips the requests the memos or the store already serve
     /// and computes the rest in one pass over its encode point: the core
     /// model of every pipeline run and the branch window of every window
-    /// request are fed the same chunks, as the encode records them, or in
+    /// request are fed the same events, as the encode records them, or in
     /// one replay of a stream held in memory or loaded from the store;
     /// counting runs and costs read the capture's mix, profile and
-    /// bitstream. A recording keeps no chunk after its consumers have it
-    /// unless a store is attached, which needs the stream entry written,
-    /// and the group drops its capture when it is done: a cold planned
-    /// process holds no event stream, and a store fill one per worker. A
+    /// bitstream. A recording packs no stream unless a store is attached,
+    /// which needs the stream entry written, and the group drops its
+    /// capture when it is done: a cold planned process holds no event
+    /// stream, and a store fill one per worker. Each worker runs its
+    /// encode and that encode's simulation on its own thread. A
     /// capture a later request still needs is reloaded from the store or
     /// re-encoded, so a plan must list every request of an encode point.
     ///

@@ -4,7 +4,9 @@ use crate::runtime::cycles_to_seconds;
 use vstress_codecs::taskgraph::TaskTrace;
 use vstress_codecs::{CodecError, CodecId, Encoder, EncoderParams};
 use vstress_pipeline::{CoreModel, CoreReport};
-use vstress_trace::{ChunkTx, EventStream, HotKernelProfile, OpMix, StreamError, StreamRecorder};
+use vstress_trace::{
+    EventStream, HotKernelProfile, NullProbe, OpMix, Probe, StreamError, StreamRecorder,
+};
 use vstress_video::vbench::{self, FidelityConfig};
 use vstress_video::{Clip, VideoError};
 
@@ -173,15 +175,18 @@ pub fn clip_for(spec: &RunSpec) -> Result<Clip, WorkbenchError> {
 }
 
 /// Runs one fully characterized encode, through the same path
-/// `vstress-repro` takes: a recording encode whose event stream the core
-/// model consumes chunk by chunk while the encode runs (counting-only
-/// specs skip the model; see [`RunCache::run`](crate::exec::RunCache::run)).
+/// `vstress-repro` takes: a one-request plan, whose recording encode feeds
+/// the core model each event as it makes it and packs no stream
+/// (counting-only specs skip the model; see
+/// [`RunCache::run_plan`](crate::exec::RunCache::run_plan)).
 ///
 /// # Errors
 ///
 /// Returns [`WorkbenchError`] for unknown clips or invalid parameters.
 pub fn characterize(spec: &RunSpec) -> Result<CharacterizationRun, WorkbenchError> {
-    crate::exec::RunCache::new().run(spec).map(std::sync::Arc::unwrap_or_clone)
+    let cache = crate::exec::RunCache::new();
+    cache.run_plan(1, &[crate::exec::Request::Run(spec.clone())])?;
+    cache.run(spec).map(std::sync::Arc::unwrap_or_clone)
 }
 
 /// One recorded encode: the full canonical probe event stream plus every
@@ -252,10 +257,10 @@ impl<'de> serde::Deserialize<'de> for CapturedEncode {
 ///
 /// A [`StreamRecorder`] gathers the canonical event stream (and, through
 /// its embedded counting probe, the mix and hot-kernel profile) while
-/// the encoder runs at the spec's tile-worker count. With a `sink`,
-/// flushed chunks are additionally handed to a concurrent consumer as
-/// they fill (capture/simulate overlap); the stream in the returned
-/// capture is complete either way.
+/// the encoder runs at the spec's tile-worker count. With a `consumer`,
+/// the recorder also feeds it each canonical event as the encode makes
+/// it, so the consumer ends as a replay of the returned stream would
+/// leave it; the stream in the returned capture is complete either way.
 ///
 /// # Errors
 ///
@@ -263,21 +268,22 @@ impl<'de> serde::Deserialize<'de> for CapturedEncode {
 pub fn capture_encode_with(
     spec: &RunSpec,
     clip: &Clip,
-    sink: Option<ChunkTx>,
+    consumer: Option<&mut dyn Probe>,
 ) -> Result<CapturedEncode, WorkbenchError> {
-    let rec = match sink {
-        Some(tx) => StreamRecorder::with_sink(tx),
-        None => StreamRecorder::new(),
+    let mut null = NullProbe;
+    let consumer: &mut dyn Probe = match consumer {
+        Some(consumer) => consumer,
+        None => &mut null,
     };
-    capture_encode_into(spec, clip, rec)
+    capture_encode_into(spec, clip, StreamRecorder::feeding(consumer, true))
 }
 
 /// [`capture_encode_with`] through the recorder `rec`, which may keep no
 /// chunks: the capture's stream then has its event count but no chunks.
-pub(crate) fn capture_encode_into(
+pub(crate) fn capture_encode_into<P: Probe>(
     spec: &RunSpec,
     clip: &Clip,
-    mut rec: StreamRecorder,
+    mut rec: StreamRecorder<P>,
 ) -> Result<CapturedEncode, WorkbenchError> {
     let encoder = Encoder::new(spec.codec, spec.params)?;
     let out = encoder.encode_threaded(
@@ -300,7 +306,7 @@ pub(crate) fn capture_encode_into(
     })
 }
 
-/// [`capture_encode_with`], synthesizing the clip and with no sink.
+/// [`capture_encode_with`], synthesizing the clip and with no consumer.
 ///
 /// # Errors
 ///

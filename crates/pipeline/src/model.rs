@@ -16,8 +16,9 @@ use vstress_trace::{EventStream, Kernel, Probe};
 /// fetch stream walks each kernel's code region through the L1I.
 ///
 /// The model takes data addresses as they come and expects canonical
-/// ones, which is what a replayed [`EventStream`] carries. To drive it
-/// live with raw probe addresses, wrap it in a
+/// ones, which is what a replayed [`EventStream`] carries and what a
+/// [`StreamRecorder`](vstress_trace::StreamRecorder) feeds its consumer
+/// live. To drive it live with raw probe addresses, wrap it in a
 /// [`CanonicalizingProbe`](vstress_trace::CanonicalizingProbe).
 ///
 /// Call [`CoreModel::into_report`] when the run completes.
@@ -237,8 +238,9 @@ impl<B: BranchPredictor> CoreModel<B> {
 
     /// Switches the active kernel, refreshing the cached per-kernel
     /// scalars. The model's one [`Probe`] impl calls it on every kernel
-    /// event, whether fed live through a
-    /// [`CanonicalizingProbe`](vstress_trace::CanonicalizingProbe) or by
+    /// event that changes the kernel, whether fed live by a
+    /// [`StreamRecorder`](vstress_trace::StreamRecorder) or through a
+    /// [`CanonicalizingProbe`](vstress_trace::CanonicalizingProbe), or by
     /// [`decode_chunk`](vstress_trace::stream::decode_chunk), so the `cur_*`
     /// caches stay coherent with `kernel`.
     #[inline]
@@ -422,9 +424,12 @@ impl<B: BranchPredictor> CoreModel<B> {
 impl<B: BranchPredictor> Probe for CoreModel<B> {
     #[inline]
     fn set_kernel(&mut self, k: Kernel) {
-        // Captures drop redundant redeclarations; a live one reinstalls
-        // the same per-kernel values, so it changes nothing.
-        self.switch_kernel(k);
+        // Captures drop redundant redeclarations; a live one would
+        // reinstall the same per-kernel values, so it changes nothing and
+        // skips the switch's divisions.
+        if k != self.kernel {
+            self.switch_kernel(k);
+        }
     }
 
     #[inline]

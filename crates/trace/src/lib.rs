@@ -43,8 +43,8 @@ pub use probe::{CountingProbe, NullProbe, Probe, SinkProbe, TeeProbe};
 pub use profile::HotKernelProfile;
 pub use record::{BranchRecord, MemAccess};
 pub use stream::{
-    CanonicalizingProbe, ChunkDecoder, ChunkRx, ChunkTx, EventStream, MalformedChunk, SharedBytes,
-    StreamError, StreamRecorder,
+    CanonicalizingProbe, ChunkDecoder, EventStream, MalformedChunk, SharedBytes, StreamError,
+    StreamRecorder,
 };
 pub use window::BranchWindowProbe;
 

@@ -19,8 +19,7 @@
 //! varints. Memory addresses and branch PCs are delta-encoded (zigzag
 //! varints) against the previous address / PC *within the chunk*; both
 //! baselines reset to zero at a chunk boundary, so chunks can be decoded
-//! independently and streamed through a bounded [`chunk_channel`] while
-//! the producing encode is still running.
+//! independently, one at a time.
 //!
 //! | op | meaning    | inline arg (5 bits)           | trailing varints |
 //! |----|------------|-------------------------------|------------------|
@@ -62,10 +61,8 @@
 //! pin it down to f64 bit level against the fused live path.
 
 use crate::kernel::Kernel;
-use crate::probe::{CountingProbe, Probe};
+use crate::probe::{CountingProbe, NullProbe, Probe};
 pub use serde::SharedBytes;
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
 
 /// Bump when the packed chunk encoding changes. Persisted streams embed
 /// this version; a mismatch on load is a hard deserialization error (the
@@ -395,8 +392,8 @@ impl EventStream {
 }
 
 /// Decodes the chunks of one stream, in order, into a probe: the step
-/// every replay is made of, whether the chunks come from an
-/// [`EventStream`] or a [`chunk_channel`]. A chunk that is a span of a
+/// every replay is made of, one [`EventStream`] chunk at a time, whether
+/// the stream is recorded or loaded. A chunk that is a span of a
 /// file is read into one buffer the decoder keeps and reuses, so decoding
 /// a loaded stream holds one chunk in memory at a time.
 #[derive(Debug, Default)]
@@ -521,34 +518,38 @@ pub fn decode_chunk<P: Probe>(bytes: &[u8], probe: &mut P) -> Result<u64, Malfor
     Ok(events)
 }
 
-/// A live probe that packs the full event sequence into an
-/// [`EventStream`] while keeping the standard counting summary.
+/// A live probe that records an encode: it counts the run, packs its
+/// canonical event sequence into an [`EventStream`] when the stream has a
+/// later reader, and feeds that sequence to a consumer as the encode makes
+/// it.
 ///
 /// The recorder embeds a [`CountingProbe`] fed the *unmodified* event
 /// sequence — the instruction mix and hot-kernel profile it yields are
-/// exactly what a plain counting encode would have produced — and in
-/// parallel packs the canonicalized sequence into chunks. It reports
-/// [`Probe::is_live`] so encoders take their fully-instrumented paths.
-///
-/// With a sink attached ([`StreamRecorder::with_sink`]), each completed
-/// chunk is also pushed into a bounded [`chunk_channel`], letting a
-/// consumer thread simulate the head of the stream while the tail is
-/// still being encoded. A recorder told to keep no chunks
-/// ([`StreamRecorder::keep_chunks`]) drops each one once it is sent, so
-/// it holds one chunk at a time however long the run.
+/// exactly what a plain counting encode would have produced. Every other
+/// reader gets the sequence a replay delivers, data addresses renamed by
+/// the recorder's one canonicalizer and redundant `set_kernel`s dropped:
+/// the packed chunks, when the recorder keeps them, and the consumer, when
+/// it is live ([`Probe::is_live`]). So a consumer fed live ends exactly
+/// as one fed a replay of the stream. A recorder that keeps no chunks
+/// packs nothing, and without a live consumer it renames nothing either:
+/// it only counts. It reports [`Probe::is_live`] so encoders take their
+/// fully-instrumented paths.
 #[derive(Debug)]
-pub struct StreamRecorder {
+pub struct StreamRecorder<P = NullProbe> {
     counting: CountingProbe,
+    consumer: P,
+    /// Pack the stream into `chunks`.
+    keep: bool,
+    /// Feed `consumer`: it is live.
+    feed: bool,
     canon: AddressCanonicalizer,
     chunk: Vec<u8>,
     chunks: Vec<SharedBytes>,
-    keep: bool,
     chunk_target: usize,
     prev_addr: u64,
     prev_pc: u64,
     last_kernel: Option<Kernel>,
     events: u64,
-    sink: Option<ChunkTx>,
 }
 
 impl Default for StreamRecorder {
@@ -558,42 +559,34 @@ impl Default for StreamRecorder {
 }
 
 impl StreamRecorder {
-    /// A recorder accumulating chunks in memory.
+    /// A recorder packing the stream in memory, feeding no consumer.
     pub fn new() -> Self {
+        Self::feeding(NullProbe, true)
+    }
+}
+
+impl<P: Probe> StreamRecorder<P> {
+    /// A recorder feeding `consumer` the canonical sequence as the encode
+    /// makes it, and packing the stream only when `keep`. One that keeps
+    /// no stream returns from [`StreamRecorder::finish`] a stream with the
+    /// run's event count and no chunks, whose replay fails with
+    /// [`StreamError::EventCount`]: the consumer is the events' only
+    /// reader.
+    pub fn feeding(consumer: P, keep: bool) -> Self {
         StreamRecorder {
             counting: CountingProbe::new(),
+            feed: consumer.is_live(),
+            consumer,
+            keep,
             canon: AddressCanonicalizer::new(),
-            chunk: Vec::with_capacity(CHUNK_TARGET + 64),
+            chunk: if keep { Vec::with_capacity(CHUNK_TARGET + 64) } else { Vec::new() },
             chunks: Vec::new(),
-            keep: true,
             chunk_target: CHUNK_TARGET,
             prev_addr: 0,
             prev_pc: 0,
             last_kernel: None,
             events: 0,
-            sink: None,
         }
-    }
-
-    /// A recorder that additionally streams each completed chunk into
-    /// `tx` (the producer half of a [`chunk_channel`]). The final
-    /// partial chunk is sent by [`StreamRecorder::finish`], which also
-    /// closes the channel.
-    pub fn with_sink(tx: ChunkTx) -> Self {
-        let mut r = Self::new();
-        r.sink = Some(tx);
-        r
-    }
-
-    /// Whether to keep each completed chunk (the default) or drop it once
-    /// the sink, if any, has it. A recorder that keeps none returns from
-    /// [`StreamRecorder::finish`] a stream with the run's event count and
-    /// no chunks: the sink's consumer is the only reader of the events,
-    /// and replaying the returned stream fails with
-    /// [`StreamError::EventCount`].
-    pub fn keep_chunks(mut self, keep: bool) -> Self {
-        self.keep = keep;
-        self
     }
 
     /// Overrides the chunk flush threshold (bytes). Testing and tuning
@@ -603,16 +596,16 @@ impl StreamRecorder {
         self
     }
 
-    /// Finalizes the stream: flushes the partial chunk, closes the sink
-    /// (if any) and returns the packed stream (without chunks, if it kept
-    /// none) plus the counting summary of the full run.
+    /// Finalizes the stream: flushes the partial chunk and returns the
+    /// packed stream (without chunks, if it keeps none) plus the counting
+    /// summary of the full run.
     pub fn finish(mut self) -> (EventStream, CountingProbe) {
         if !self.chunk.is_empty() {
             // The last chunk is short; give back its unused capacity.
-            self.chunk.shrink_to_fit();
-            self.flush_chunk();
+            let mut last = std::mem::take(&mut self.chunk);
+            last.shrink_to_fit();
+            self.chunks.push(SharedBytes::from(last));
         }
-        drop(self.sink.take());
         (EventStream { chunks: self.chunks, events: self.events }, self.counting)
     }
 
@@ -622,13 +615,7 @@ impl StreamRecorder {
             Vec::with_capacity(self.chunk_target.min(CHUNK_TARGET) + 64),
         );
         // The filled `Vec` becomes the chunk's buffer as it is: no copy.
-        let chunk = SharedBytes::from(filled);
-        if let Some(tx) = &self.sink {
-            tx.send(chunk.clone());
-        }
-        if self.keep {
-            self.chunks.push(chunk);
-        }
+        self.chunks.push(SharedBytes::from(filled));
         self.prev_addr = 0;
         self.prev_pc = 0;
     }
@@ -640,9 +627,15 @@ impl StreamRecorder {
         }
     }
 
-    #[inline]
+    // The `rec_*` steps are always inlined into the `Probe` methods: an
+    // event then costs one call into the recorder, and from there one
+    // into the consumer's handler, not a chain of small calls.
+    #[inline(always)]
     fn rec_compute(&mut self, op: u8, n: u64) {
         self.events += 1;
+        if !self.keep {
+            return;
+        }
         if n < COMPUTE_ESCAPE {
             self.chunk.push(op | (n as u8) << 3);
         } else {
@@ -652,82 +645,117 @@ impl StreamRecorder {
         self.maybe_flush();
     }
 
-    #[inline]
-    fn rec_mem(&mut self, op: u8, addr: u64, bytes: u32) {
+    /// Records a load or store; returns its canonical address if the
+    /// consumer is to be fed it.
+    #[inline(always)]
+    fn rec_mem(&mut self, op: u8, addr: u64, bytes: u32) -> Option<u64> {
         self.events += 1;
-        let addr = self.canon.canon(addr);
-        let code = width_code(bytes);
-        self.chunk.push(op | code << 3);
-        if code == 0 {
-            push_varint(&mut self.chunk, u64::from(bytes));
+        if !(self.keep || self.feed) {
+            return None;
         }
-        push_varint(&mut self.chunk, zigzag((addr as i64).wrapping_sub(self.prev_addr as i64)));
-        self.prev_addr = addr;
-        self.maybe_flush();
+        let addr = self.canon.canon(addr);
+        if self.keep {
+            let code = width_code(bytes);
+            self.chunk.push(op | code << 3);
+            if code == 0 {
+                push_varint(&mut self.chunk, u64::from(bytes));
+            }
+            let delta = (addr as i64).wrapping_sub(self.prev_addr as i64);
+            push_varint(&mut self.chunk, zigzag(delta));
+            self.prev_addr = addr;
+            self.maybe_flush();
+        }
+        self.feed.then_some(addr)
     }
 
-    #[inline]
+    #[inline(always)]
     fn rec_branch(&mut self, pc: u64, taken: bool) {
         self.events += 1;
+        if !self.keep {
+            return;
+        }
         self.chunk.push(OP_BRANCH | (taken as u8) << 3);
         push_varint(&mut self.chunk, zigzag((pc as i64).wrapping_sub(self.prev_pc as i64)));
         self.prev_pc = pc;
         self.maybe_flush();
     }
 
-    #[inline]
-    fn rec_set_kernel(&mut self, k: Kernel) {
+    /// Records a kernel declaration; returns whether it changes the
+    /// kernel (a redundant one is dropped).
+    #[inline(always)]
+    fn rec_set_kernel(&mut self, k: Kernel) -> bool {
         if self.last_kernel == Some(k) {
-            return;
+            return false;
         }
         self.last_kernel = Some(k);
         self.events += 1;
-        self.chunk.push(OP_SET_KERNEL | (k.index() as u8) << 3);
-        self.maybe_flush();
+        if self.keep {
+            self.chunk.push(OP_SET_KERNEL | (k.index() as u8) << 3);
+            self.maybe_flush();
+        }
+        true
     }
 }
 
-impl Probe for StreamRecorder {
+impl<P: Probe> Probe for StreamRecorder<P> {
     #[inline]
     fn set_kernel(&mut self, k: Kernel) {
         self.counting.set_kernel(k);
-        self.rec_set_kernel(k);
+        if self.rec_set_kernel(k) && self.feed {
+            self.consumer.set_kernel(k);
+        }
     }
 
     #[inline]
     fn alu(&mut self, n: u64) {
         self.counting.alu(n);
         self.rec_compute(OP_ALU, n);
+        if self.feed {
+            self.consumer.alu(n);
+        }
     }
 
     #[inline]
     fn avx(&mut self, n: u64) {
         self.counting.avx(n);
         self.rec_compute(OP_AVX, n);
+        if self.feed {
+            self.consumer.avx(n);
+        }
     }
 
     #[inline]
     fn sse(&mut self, n: u64) {
         self.counting.sse(n);
         self.rec_compute(OP_SSE, n);
+        if self.feed {
+            self.consumer.sse(n);
+        }
     }
 
     #[inline]
     fn load(&mut self, addr: u64, bytes: u32) {
         self.counting.load(addr, bytes);
-        self.rec_mem(OP_LOAD, addr, bytes);
+        if let Some(addr) = self.rec_mem(OP_LOAD, addr, bytes) {
+            self.consumer.load(addr, bytes);
+        }
     }
 
     #[inline]
     fn store(&mut self, addr: u64, bytes: u32) {
         self.counting.store(addr, bytes);
-        self.rec_mem(OP_STORE, addr, bytes);
+        if let Some(addr) = self.rec_mem(OP_STORE, addr, bytes) {
+            self.consumer.store(addr, bytes);
+        }
     }
 
     #[inline]
     fn branch(&mut self, pc: u64, taken: bool) {
         self.counting.branch(pc, taken);
         self.rec_branch(pc, taken);
+        if self.feed {
+            self.consumer.branch(pc, taken);
+        }
     }
 
     #[inline]
@@ -811,135 +839,6 @@ impl<P: Probe> Probe for CanonicalizingProbe<P> {
 }
 
 // ---------------------------------------------------------------------------
-// Bounded chunk channel (capture/simulate pipelining).
-// ---------------------------------------------------------------------------
-
-struct ChannelState {
-    queue: VecDeque<SharedBytes>,
-    tx_closed: bool,
-    rx_closed: bool,
-}
-
-struct ChannelInner {
-    state: Mutex<ChannelState>,
-    capacity: usize,
-    /// Signalled when the queue drains below capacity (or rx hangs up).
-    space: Condvar,
-    /// Signalled when a chunk arrives (or tx hangs up).
-    ready: Condvar,
-}
-
-impl ChannelInner {
-    fn lock(&self) -> std::sync::MutexGuard<'_, ChannelState> {
-        // A panicked peer cannot leave the queue logically torn: every
-        // critical section is a push/pop plus flag writes.
-        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-/// Creates a bounded producer/consumer channel for stream chunks.
-///
-/// The producer side blocks once `capacity` chunks are queued, bounding
-/// the memory between a recording encode and the simulation draining it;
-/// the consumer blocks while the queue is empty. Dropping either side
-/// unblocks the other (the producer's sends then discard silently; a
-/// recorder that keeps its chunks still holds the full stream).
-pub fn chunk_channel(capacity: usize) -> (ChunkTx, ChunkRx) {
-    let inner = Arc::new(ChannelInner {
-        state: Mutex::new(ChannelState {
-            queue: VecDeque::new(),
-            tx_closed: false,
-            rx_closed: false,
-        }),
-        capacity: capacity.max(1),
-        space: Condvar::new(),
-        ready: Condvar::new(),
-    });
-    (ChunkTx { inner: Arc::clone(&inner) }, ChunkRx { inner })
-}
-
-/// Producer half of a [`chunk_channel`].
-pub struct ChunkTx {
-    inner: Arc<ChannelInner>,
-}
-
-impl std::fmt::Debug for ChunkTx {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.inner.lock();
-        f.debug_struct("ChunkTx")
-            .field("queued", &state.queue.len())
-            .field("capacity", &self.inner.capacity)
-            .finish()
-    }
-}
-
-/// Consumer half of a [`chunk_channel`].
-pub struct ChunkRx {
-    inner: Arc<ChannelInner>,
-}
-
-impl std::fmt::Debug for ChunkRx {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.inner.lock();
-        f.debug_struct("ChunkRx")
-            .field("queued", &state.queue.len())
-            .field("capacity", &self.inner.capacity)
-            .finish()
-    }
-}
-
-impl ChunkTx {
-    /// Enqueues `chunk`, blocking while the channel is full. If the
-    /// consumer is gone the chunk is dropped.
-    pub fn send(&self, chunk: SharedBytes) {
-        let mut state = self.inner.lock();
-        while state.queue.len() >= self.inner.capacity && !state.rx_closed {
-            state = self.inner.space.wait(state).unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        if state.rx_closed {
-            return;
-        }
-        state.queue.push_back(chunk);
-        drop(state);
-        self.inner.ready.notify_one();
-    }
-}
-
-impl Drop for ChunkTx {
-    fn drop(&mut self) {
-        self.inner.lock().tx_closed = true;
-        self.inner.ready.notify_all();
-    }
-}
-
-impl ChunkRx {
-    /// Dequeues the next chunk, blocking while the channel is empty.
-    /// Returns `None` once the producer has closed and the queue is
-    /// drained.
-    pub fn recv(&self) -> Option<SharedBytes> {
-        let mut state = self.inner.lock();
-        loop {
-            if let Some(chunk) = state.queue.pop_front() {
-                drop(state);
-                self.inner.space.notify_one();
-                return Some(chunk);
-            }
-            if state.tx_closed {
-                return None;
-            }
-            state = self.inner.ready.wait(state).unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-}
-
-impl Drop for ChunkRx {
-    fn drop(&mut self) {
-        self.inner.lock().rx_closed = true;
-        self.inner.space.notify_all();
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Persistence (serde shim wire format).
 // ---------------------------------------------------------------------------
 
@@ -981,9 +880,9 @@ impl<'de> serde::Deserialize<'de> for EventStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::NullProbe;
     use crate::{ProbeEvent, RecordingProbe};
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     /// [`VARINTS_AFTER`] entry of a byte that starts no event.
     const BAD_OPCODE: u8 = u8::MAX;
@@ -1376,57 +1275,42 @@ mod tests {
     }
 
     #[test]
-    fn chunk_channel_streams_the_capture() {
-        let (tx, rx) = chunk_channel(2);
-        let consumer = std::thread::spawn(move || {
-            let mut seen = Vec::new();
-            let mut replayed = CountingProbe::new();
-            while let Some(chunk) = rx.recv() {
-                decode_chunk(chunk.as_slice().unwrap(), &mut replayed).unwrap();
-                seen.push(chunk);
+    fn a_recorder_feeds_its_consumer_the_sequence_its_stream_replays() {
+        let (stream, counting) = capture(30_000, 1024);
+        let mut null = NullProbe;
+        let mut replayed = RecordingProbe::new(&mut null);
+        stream.replay(&mut replayed);
+        let replayed = replayed.into_batch();
+        for keep in [true, false] {
+            let mut null = NullProbe;
+            let mut fed = RecordingProbe::new(&mut null);
+            let mut rec = StreamRecorder::feeding(&mut fed, keep).with_chunk_target(1024);
+            drive(&mut rec, 30_000);
+            let (kept, kept_counting) = rec.finish();
+            assert_eq!(fed.into_batch(), replayed, "keep {keep}: the consumer saw the replay");
+            assert_eq!(kept_counting, counting, "keep {keep}");
+            assert_eq!(kept.events(), stream.events(), "keep {keep}");
+            if keep {
+                assert_eq!(kept, stream, "feeding a consumer changes no packed byte");
+            } else {
+                assert!(kept.chunks().is_empty(), "no chunk kept");
+                let err = kept.try_replay(&mut NullProbe).unwrap_err();
+                assert!(matches!(err, StreamError::EventCount { counted: 0, .. }), "{err}");
             }
-            (seen, replayed)
-        });
-        let mut rec = StreamRecorder::with_sink(tx).with_chunk_target(1024);
-        drive(&mut rec, 30_000);
-        let (stream, counting) = rec.finish();
-        let (seen, replayed) = consumer.join().unwrap();
-        assert_eq!(seen.len(), stream.chunks().len());
-        assert!(seen.iter().zip(stream.chunks()).all(|(a, b)| a == b));
-        assert_eq!(replayed, counting, "streamed replay equals the full capture");
+        }
     }
 
     #[test]
-    fn a_recorder_keeping_no_chunks_only_sends_them() {
-        let (tx, rx) = chunk_channel(2);
-        let consumer = std::thread::spawn(move || {
-            let mut decoder = ChunkDecoder::new();
-            let mut replayed = CountingProbe::new();
-            while let Some(chunk) = rx.recv() {
-                decoder.decode(&chunk, &mut replayed).unwrap();
-            }
-            (decoder, replayed)
-        });
-        let mut rec = StreamRecorder::with_sink(tx).with_chunk_target(1024).keep_chunks(false);
+    fn a_recorder_keeping_no_chunks_and_feeding_no_consumer_only_counts() {
+        let (stream, counting) = capture(30_000, 1024);
+        let mut rec = StreamRecorder::feeding(NullProbe, false).with_chunk_target(1024);
         drive(&mut rec, 30_000);
-        let (stream, counting) = rec.finish();
-        let (decoder, replayed) = consumer.join().unwrap();
-        assert!(decoder.chunks() > 10, "{} chunks", decoder.chunks());
-        assert_eq!(replayed, counting, "the sink saw the whole run");
-        decoder.finish(stream.events()).unwrap();
-        assert!(stream.chunks().is_empty(), "no chunk kept");
-        let err = stream.try_replay(&mut NullProbe).unwrap_err();
-        assert!(matches!(err, StreamError::EventCount { counted: 0, .. }), "{err}");
-    }
-
-    #[test]
-    fn dropped_receiver_does_not_wedge_the_recorder() {
-        let (tx, rx) = chunk_channel(1);
-        drop(rx);
-        let mut rec = StreamRecorder::with_sink(tx).with_chunk_target(256);
-        drive(&mut rec, 10_000);
-        let (stream, _) = rec.finish();
-        assert!(stream.events() > 0, "capture survives a vanished consumer");
+        assert_eq!(rec.chunk.capacity(), 0, "no chunk buffer");
+        assert_eq!(rec.canon.len, 0, "no address renamed");
+        let (kept, kept_counting) = rec.finish();
+        assert_eq!(kept_counting, counting);
+        assert_eq!(kept.events(), stream.events());
+        assert!(kept.chunks().is_empty());
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Pins the memory a cold planned group costs: with no store attached,
 //! the one pass over an encode point feeds the core model and the branch
-//! window each chunk as the encode records it and keeps none, so the
+//! window each event as the encode makes it and packs no stream, so the
 //! group's peak does not grow with its event stream.
 //!
 //! The counter wraps the system allocator for this whole test binary,
 //! which is why the test lives in its own integration-test file. It
-//! counts every thread, not one: a chunk is allocated by the recording
-//! encode and freed by the consumer thread that simulates it. The file
-//! holds a single test, so nothing else allocates while it measures.
+//! counts every thread, not one, so an encode's helper threads count
+//! too. The file holds a single test, so nothing else allocates while it
+//! measures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -74,7 +74,7 @@ fn a_cold_planned_group_holds_no_event_stream() {
     let s = cache.stats();
     assert_eq!((s.encodes, s.run_misses, s.window_misses), (1, 1, 1));
     assert!(
-        peak < packed / 4,
-        "the group peaked {peak} bytes above its start; the stream packs {packed}"
+        peak < 12 * MIB,
+        "the group peaked {peak} bytes above its start (limit 12 MiB); the stream packs {packed}"
     );
 }

@@ -13,20 +13,20 @@
 //! would accept `-0.0 == 0.0` and ULP-level drift hidden by display
 //! rounding.
 
+use std::sync::Arc;
 use vstress::bpred::Tage;
 use vstress::cache::HierarchyConfig;
 use vstress::codecs::{CodecId, Encoder};
+use vstress::exec::{BranchWindow, Request};
 use vstress::pipeline::{CoreConfig, CoreModel};
 use vstress::runtime::cycles_to_seconds;
-use vstress::trace::stream::chunk_channel;
-use vstress::trace::{
-    BranchWindowProbe, CanonicalizingProbe, ChunkDecoder, CountingProbe, TeeProbe,
-};
+use vstress::trace::{BranchWindowProbe, CanonicalizingProbe, CountingProbe, TeeProbe};
 use vstress::video::Clip;
 use vstress::workbench::{
-    capture_encode_with, characterize_from_capture, clip_for, equivalent_params, run_from_parts,
-    CharacterizationRun, RunSpec,
+    capture_encode, capture_encode_with, characterize_from_capture, clip_for, equivalent_params,
+    run_from_parts, CharacterizationRun, RunSpec,
 };
+use vstress::{RunCache, RunStore};
 
 /// Every codec family the workbench models, at the same quality point.
 const CODECS: [CodecId; 4] = [CodecId::SvtAv1, CodecId::X264, CodecId::X265, CodecId::Libaom];
@@ -66,14 +66,16 @@ fn characterize_live(spec: &RunSpec, clip: &Clip) -> CharacterizationRun {
 /// The tentpole guarantee: for every codec family, replaying a captured
 /// stream through a fresh core model reproduces the fused live
 /// characterization bit-for-bit — mix, profile, cycles, top-down slots,
-/// cache stats, everything.
+/// cache stats, everything. So does the core model the recorder fed
+/// while it packed that stream.
 #[test]
 fn capture_replay_is_bit_identical_to_live_for_every_codec() {
     for codec in CODECS {
         let spec = spec_for(codec);
         let clip = clip_for(&spec).unwrap();
         let live = characterize_live(&spec, &clip);
-        let cap = capture_encode_with(&spec, &clip, None).unwrap();
+        let mut fed = CoreModel::broadwell_scaled(spec.cache_divisor);
+        let cap = capture_encode_with(&spec, &clip, Some(&mut fed)).unwrap();
         let replayed = characterize_from_capture(&spec, &cap);
         assert_eq!(live, replayed, "{codec:?}: replay diverged from live");
         assert_eq!(
@@ -81,38 +83,61 @@ fn capture_replay_is_bit_identical_to_live_for_every_codec() {
             serde::to_string(&replayed),
             "{codec:?}: f64 bits diverged between live and replay"
         );
+        assert_eq!(
+            serde::to_string(&run_from_parts(&spec, &cap, fed)),
+            serde::to_string(&replayed),
+            "{codec:?}: the model fed during the capture diverged from the replay"
+        );
     }
 }
 
-/// The overlapped capture pipeline — encode feeding chunks through a
-/// bounded channel into a concurrently draining core model, decoded by a
-/// `ChunkDecoder` with the model as its probe, as a plan's consumer
-/// thread does — must land on the same bits as a serial replay of the
-/// finished stream.
+/// A live-fed plan — the recording encode's recorder feeding the core
+/// model and the centred branch window each canonical event on the
+/// encode's thread, with no stream in between — lands on the bits of a
+/// replay of the finished capture, for every codec family: with no store
+/// attached, where the recorder packs nothing, and with one, where it
+/// packs the stream and feeds the consumers at once. The stored stream
+/// then replays to the same bits too.
 #[test]
-fn channel_overlapped_consume_matches_serial_replay() {
-    let spec = spec_for(CodecId::SvtAv1);
-    let clip = clip_for(&spec).unwrap();
-    let (cap, core) = std::thread::scope(|scope| {
-        let (tx, rx) = chunk_channel(8);
-        let divisor = spec.cache_divisor;
-        let consumer = scope.spawn(move || {
-            let mut core = CoreModel::broadwell_scaled(divisor);
-            let mut decoder = ChunkDecoder::new();
-            while let Some(chunk) = rx.recv() {
-                decoder.decode(&chunk, &mut core).unwrap();
-            }
-            (core, decoder)
+fn live_fed_plan_matches_capture_replay_for_every_codec() {
+    let root = std::env::temp_dir().join(format!("vstress-live-fed-{}", std::process::id()));
+    for codec in CodecId::ALL {
+        let spec = spec_for(codec);
+        let cap = capture_encode(&spec).unwrap();
+        let replayed = serde::to_string(&characterize_from_capture(&spec, &cap));
+        let window = cap.mix.total() / 4;
+        let mut probe = BranchWindowProbe::mid_run(cap.mix.total(), window);
+        cap.stream.replay(&mut probe);
+        let replayed_window = serde::to_string(&BranchWindow {
+            instructions: probe.window_retired().max(1),
+            records: probe.into_records().into(),
         });
-        let cap = capture_encode_with(&spec, &clip, Some(tx)).unwrap();
-        let (core, decoder) = consumer.join().unwrap();
-        decoder.finish(cap.stream.events()).unwrap();
-        (cap, core)
-    });
-    let overlapped = run_from_parts(&spec, &cap, core);
-    let serial = characterize_from_capture(&spec, &cap);
-    assert_eq!(overlapped, serial);
-    assert_eq!(serde::to_string(&overlapped), serde::to_string(&serial));
+        let plan = [Request::Run(spec.clone()), Request::Window(spec.clone(), window)];
+        let _ = std::fs::remove_dir_all(&root);
+        let store = || Arc::new(RunStore::open(&root).unwrap());
+        for (cache, label) in
+            [(RunCache::new(), "no store"), (RunCache::with_store(store()), "store fill")]
+        {
+            cache.run_plan(1, &plan).unwrap();
+            assert_eq!(cache.stats().encodes, 1, "{codec:?}, {label}");
+            let run = cache.run(&spec).unwrap();
+            assert_eq!(serde::to_string(&*run), replayed, "{codec:?}, {label}: run diverged");
+            let window = cache.branch_window(&spec, window).unwrap();
+            assert_eq!(serde::to_string(&*window), replayed_window, "{codec:?}, {label}: window");
+        }
+        // A fresh cache over the filled store asks for a run it does not
+        // hold, which it derives from the stored stream.
+        let other = RunSpec { cache_divisor: 8, ..spec.clone() };
+        let reloaded = RunCache::with_store(store());
+        let run = reloaded.run(&other).unwrap();
+        assert_eq!(reloaded.stats().encodes, 0, "{codec:?}: the stored stream serves the run");
+        assert_eq!(
+            serde::to_string(&*run),
+            serde::to_string(&characterize_from_capture(&other, &cap)),
+            "{codec:?}: the stored stream diverged"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// Stream replay is predictor-agnostic: both shipped TAGE geometries,
