@@ -1097,8 +1097,8 @@ impl RunCache {
     }
 }
 
-/// The default worker-pool size for batch executors and the serve
-/// pipeline: every available core (1 when parallelism is undetectable).
+/// The default worker-pool size for batch executors: every available
+/// core (1 when parallelism is undetectable).
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }

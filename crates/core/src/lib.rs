@@ -18,10 +18,7 @@
 //!   model;
 //! * [`vstress_sched`] — the thread-scalability engine;
 //! * [`experiments`] — `fig01` … `fig16` and `table1`/`table2` runners
-//!   that print the same rows/series the paper reports;
-//! * [`serve`] — the long-running encode service: staged pipeline with
-//!   bounded queues and backpressure under deterministic synthetic
-//!   traffic (`vstress-serve`).
+//!   that print the same rows/series the paper reports.
 //!
 //! # Quickstart
 //!
@@ -42,14 +39,12 @@ pub mod cli;
 pub mod exec;
 pub mod experiments;
 pub mod runtime;
-pub mod serve;
 pub mod table;
 pub mod workbench;
 
 pub use exec::{
     BranchWindow, Request, RunCache, RunCacheStats, RunStore, StoreStats, SCHEMA_VERSION,
 };
-pub use serve::{ServeConfig, ServeReport, TrafficConfig};
 pub use table::Table;
 pub use workbench::{characterize, CharacterizationRun, RunSpec};
 

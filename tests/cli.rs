@@ -13,7 +13,6 @@ use std::process::{Command, Output};
 
 const REPRO: &str = env!("CARGO_BIN_EXE_vstress-repro");
 const TRANSCODE: &str = env!("CARGO_BIN_EXE_vstress-transcode");
-const SERVE: &str = env!("CARGO_BIN_EXE_vstress-serve");
 
 /// Runs `bin` with `args` in a fresh temp dir (so stray files created
 /// by a regression are visible and isolated) and returns the output
@@ -196,29 +195,5 @@ fn transcode_missing_subcommand_is_a_runtime_error() {
     let (out, dir) = run_in_tempdir(TRANSCODE, &[]);
     assert_eq!(out.status.code(), Some(1));
     assert!(stderr_of(&out).contains("usage"), "{}", stderr_of(&out));
-    std::fs::remove_dir_all(dir).ok();
-}
-
-#[test]
-fn serve_flag_validation() {
-    for bad in [
-        &["--jobs", "0"][..],
-        &["--jobs"],
-        &["--jobs", "--seed"],
-        &["--pace", "-1"],
-        &["--workers", "none"],
-        &["--frame-workers", "0"],
-        &["--frame-workers", "x"],
-        &["--frame-workers"],
-        &["--unknown-flag"],
-    ] {
-        let (out, dir) = run_in_tempdir(SERVE, bad);
-        assert_eq!(out.status.code(), Some(2), "args {bad:?}: {}", stderr_of(&out));
-        std::fs::remove_dir_all(dir).ok();
-    }
-    // Positionals are rejected too.
-    let (out, dir) = run_in_tempdir(SERVE, &["fig01"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr_of(&out).contains("unexpected argument"), "{}", stderr_of(&out));
     std::fs::remove_dir_all(dir).ok();
 }

@@ -2,7 +2,7 @@
 //! quick experiment profile. Each test names the claim it pins down.
 
 use vstress::codecs::{CodecId, EncoderParams};
-use vstress::experiments::{crf_sweep, runtime_quality, threads, ExperimentConfig};
+use vstress::experiments::{self, crf_sweep, runtime_quality, threads, ExperimentConfig};
 use vstress::workbench::{characterize, RunSpec};
 
 fn cfg() -> ExperimentConfig {
@@ -21,6 +21,14 @@ fn trend_cfg() -> ExperimentConfig {
     c.clips = vec!["game1"];
     c.crf_points = vec![10, 60];
     c
+}
+
+/// Runs experiment `id`'s plan on `cfg`'s cache first, as `vstress-repro`
+/// does: the runner then reads memoized results, and no capture keeps its
+/// packed stream past its group.
+fn planned(cfg: ExperimentConfig, id: &str) -> ExperimentConfig {
+    cfg.cache.run_plan(cfg.threads, &experiments::plan(&cfg, |i| i == id)).unwrap();
+    cfg
 }
 
 /// "Runtime of AV1 encoders such as SVT-AV1 is higher than other encoders
@@ -69,7 +77,7 @@ fn claim_retiring_is_roughly_half() {
 /// because of increasing instruction count." (Fig. 4)
 #[test]
 fn claim_crf_changes_work_not_efficiency() {
-    let pts = crf_sweep::crf_sweep(&cfg()).unwrap();
+    let pts = crf_sweep::crf_sweep(&planned(cfg(), "fig04")).unwrap();
     let lo = &pts[0].run; // CRF 15
     let hi = &pts[1].run; // CRF 55
     let instr_ratio = lo.core.instructions as f64 / hi.core.instructions as f64;
@@ -101,7 +109,7 @@ fn claim_crf_changes_work_not_efficiency() {
 /// jitter that live buffer addresses introduce (see tests/determinism.rs).
 #[test]
 fn claim_topdown_and_cache_trends() {
-    let pts = crf_sweep::crf_sweep(&trend_cfg()).unwrap();
+    let pts = crf_sweep::crf_sweep(&planned(trend_cfg(), "fig04")).unwrap();
     let lo = &pts[0].run.core;
     let hi = &pts[1].run.core;
     let lo_td = lo.topdown();
@@ -148,7 +156,7 @@ fn claim_topdown_and_cache_trends() {
 /// Fig. 1: SVT-AV1's runtime exceeds every other encoder at every CRF.
 #[test]
 fn claim_fig01_ordering() {
-    let (_, points) = runtime_quality::fig01_runtime_vs_crf(&cfg()).unwrap();
+    let (_, points) = runtime_quality::fig01_runtime_vs_crf(&planned(cfg(), "fig01")).unwrap();
     for &crf in &[10u8, 60] {
         let get = |codec| {
             points.iter().find(|p| p.codec == codec && p.crf == crf).map(|p| p.seconds).unwrap()
@@ -168,8 +176,7 @@ fn claim_fig01_ordering() {
 /// x265 becomes markedly more backend-bound with threads.
 #[test]
 fn claim_thread_scaling_shapes() {
-    let c = cfg();
-    let (_, results) = threads::fig12_15_thread_scaling(&c).unwrap();
+    let (_, results) = threads::fig12_15_thread_scaling(&planned(cfg(), "fig12")).unwrap();
     let r = &results[0];
     let at8 = |codec| {
         r.curves.iter().find(|(cc, _)| *cc == codec).map(|(_, v)| *v.last().unwrap()).unwrap()
